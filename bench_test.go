@@ -19,6 +19,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"powerlens/internal/cluster"
 	"powerlens/internal/core"
@@ -457,13 +458,16 @@ func BenchmarkObsHistogram(b *testing.B) {
 	}
 }
 
-// BenchmarkObsSpan measures one trace span emission (lock + append).
+// BenchmarkObsSpan measures one trace emission in the executor's
+// per-window decision shape: an instant with three typed args (track lock,
+// args copy, chunked append; allocation-free once warm).
 func BenchmarkObsSpan(b *testing.B) {
 	o := obs.New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.Span("block", "bench", 0, 1, nil)
+		o.Mark("decision", "bench", time.Duration(i),
+			obs.Float("busy", 0.5), obs.Int("gpu_level", i%14), obs.Float("power_w", 4.2))
 	}
 }
 

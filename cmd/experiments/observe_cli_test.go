@@ -81,7 +81,7 @@ func TestParseResilienceFlags(t *testing.T) {
 func exportTestObserver() (*obs.Observer, []obs.Event) {
 	o := obs.New()
 	o.Metrics.Counter("cli_test_total", "plumbing test", "who").Inc("tester")
-	o.Tracer.Complete("span", "test", 1, 0, time.Millisecond, nil)
+	o.Tracer.Complete("span", "test", 1, 0, time.Millisecond)
 	return o, o.Tracer.Events()
 }
 

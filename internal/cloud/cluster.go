@@ -338,7 +338,7 @@ func runSingle(cfg Config, jobs []Job) (Result, error) {
 			if cfg.Obs != nil {
 				mJobs.Inc("dropped")
 				cfg.Obs.Tracer.Instant("job", "dropped", 0, j.Arrival,
-					map[string]any{"model": j.Graph.Name, "images": j.Images})
+					obs.Int("images", j.Images), obs.Str("model", j.Graph.Name))
 			}
 			continue
 		}
@@ -359,9 +359,9 @@ func runSingle(cfg Config, jobs []Job) (Result, error) {
 				mJobs.Inc("failover")
 				mLostEnergy.Add(dry.EnergyJ * frac)
 				cfg.Obs.Tracer.Complete("job", j.Graph.Name+" (lost)", jobTrackBase+best,
-					bestStart, ran, map[string]any{"node": best, "aborted": true})
+					bestStart, ran, obs.Bool("aborted", true), obs.Int("node", best))
 				cfg.Obs.Tracer.Instant("job", "failover", jobTrackBase+best, crashAt[best],
-					map[string]any{"model": j.Graph.Name, "node": best})
+					obs.Str("model", j.Graph.Name), obs.Int("node", best))
 			}
 			ns.free = crashAt[best]
 			j.Arrival = crashAt[best]
@@ -379,8 +379,8 @@ func runSingle(cfg Config, jobs []Job) (Result, error) {
 		if cfg.Obs != nil {
 			mJobs.Inc("completed")
 			cfg.Obs.Tracer.Complete("job", j.Graph.Name, jobTrackBase+best, bestStart, dry.Time,
-				map[string]any{"node": best, "images": j.Images,
-					"queued_ms": float64((bestStart - j.orig).Milliseconds())})
+				obs.Int("images", j.Images), obs.Int("node", best),
+				obs.Float("queued_ms", float64((bestStart-j.orig).Milliseconds())))
 		}
 	}
 
@@ -488,7 +488,7 @@ func finishRun(cfg Config, nodes []nodeState, crashAt []time.Duration, res Resul
 			if cfg.Obs != nil {
 				mNodesLost.Inc()
 				cfg.Obs.Tracer.Instant("node", "crash", jobTrackBase+n, crashAt[n],
-					map[string]any{"node": n})
+					obs.Int("node", n))
 			}
 		}
 	}

@@ -303,7 +303,7 @@ func stealPhase(cfg Config, shards []*shardState, nodes []nodeState, crashAt []t
 			shards[thief].steals++
 			if cfg.Obs != nil {
 				cfg.Obs.Tracer.Instant("steal", "steal", shardTrackBase+thief, j.Arrival,
-					map[string]any{"from_shard": v, "to_shard": thief, "model": j.Graph.Name})
+					obs.Int("from_shard", v), obs.Str("model", j.Graph.Name), obs.Int("to_shard", thief))
 			}
 			stole = true
 			break
@@ -351,9 +351,9 @@ func dispatchShard(cfg Config, sh *shardState, nodes []nodeState, crashAt []time
 			sh.failovers++
 			if cfg.Obs != nil {
 				cfg.Obs.Tracer.Complete("job", j.Graph.Name+" (lost)", jobTrackBase+best,
-					bestStart, ran, map[string]any{"node": best, "aborted": true})
+					bestStart, ran, obs.Bool("aborted", true), obs.Int("node", best))
 				cfg.Obs.Tracer.Instant("job", "failover", jobTrackBase+best, crashAt[best],
-					map[string]any{"model": j.Graph.Name, "node": best})
+					obs.Str("model", j.Graph.Name), obs.Int("node", best))
 			}
 			ns.free = crashAt[best]
 			j.Arrival = crashAt[best]
@@ -370,8 +370,8 @@ func dispatchShard(cfg Config, sh *shardState, nodes []nodeState, crashAt []time
 		sh.turnaround += end - j.orig
 		if cfg.Obs != nil {
 			cfg.Obs.Tracer.Complete("job", j.Graph.Name, jobTrackBase+best, bestStart, dry.Time,
-				map[string]any{"node": best, "images": j.Images,
-					"queued_ms": float64((bestStart - j.orig).Milliseconds())})
+				obs.Int("images", j.Images), obs.Int("node", best),
+				obs.Float("queued_ms", float64((bestStart-j.orig).Milliseconds())))
 		}
 	}
 }
@@ -400,7 +400,7 @@ func placeOrphans(cfg Config, res *Result, nodes []nodeState, crashAt []time.Dur
 			if cfg.Obs != nil {
 				mJobs.Inc("dropped")
 				cfg.Obs.Tracer.Instant("job", "dropped", 0, j.Arrival,
-					map[string]any{"model": j.Graph.Name, "images": j.Images})
+					obs.Int("images", j.Images), obs.Str("model", j.Graph.Name))
 			}
 			continue
 		}
@@ -417,9 +417,9 @@ func placeOrphans(cfg Config, res *Result, nodes []nodeState, crashAt []time.Dur
 				mJobs.Inc("failover")
 				mLostEnergy.Add(dry.EnergyJ * frac)
 				cfg.Obs.Tracer.Complete("job", j.Graph.Name+" (lost)", jobTrackBase+best,
-					bestStart, ran, map[string]any{"node": best, "aborted": true})
+					bestStart, ran, obs.Bool("aborted", true), obs.Int("node", best))
 				cfg.Obs.Tracer.Instant("job", "failover", jobTrackBase+best, crashAt[best],
-					map[string]any{"model": j.Graph.Name, "node": best})
+					obs.Str("model", j.Graph.Name), obs.Int("node", best))
 			}
 			ns.free = crashAt[best]
 			j.Arrival = crashAt[best]
@@ -437,8 +437,8 @@ func placeOrphans(cfg Config, res *Result, nodes []nodeState, crashAt []time.Dur
 		if cfg.Obs != nil {
 			mJobs.Inc("completed")
 			cfg.Obs.Tracer.Complete("job", j.Graph.Name, jobTrackBase+best, bestStart, dry.Time,
-				map[string]any{"node": best, "images": j.Images,
-					"queued_ms": float64((bestStart - j.orig).Milliseconds())})
+				obs.Int("images", j.Images), obs.Int("node", best),
+				obs.Float("queued_ms", float64((bestStart-j.orig).Milliseconds())))
 		}
 	}
 }

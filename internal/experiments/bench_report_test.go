@@ -43,6 +43,7 @@ func TestRunBenchSmoke(t *testing.T) {
 		{"sketch_insert_ns", "obs"},
 		{"sketch_merge_ns", "obs"},
 		{"ledger_record_allocs", "obs"},
+		{"tracer_emit_allocs", "obs"},
 		{"dataset_gen_nets_per_s", "offline"},
 		{"oracle_sweep_ns_per_block", "offline"},
 		{"oracle_sweep_allocs_per_block", "offline"},
@@ -67,9 +68,10 @@ func TestRunBenchSmoke(t *testing.T) {
 		if m.HigherIsBetter != wantHigher {
 			t.Fatalf("metric %q orientation %v disagrees with unit %q", m.Name, m.HigherIsBetter, m.Unit)
 		}
-		// The two alloc counters are the only metrics whose healthy value IS
+		// The alloc counters are the only metrics whose healthy value can be
 		// zero — the fast paths' whole claim.
-		zeroOK := m.Name == "executor_step_allocs" || m.Name == "ledger_record_allocs"
+		zeroOK := m.Name == "executor_step_allocs" || m.Name == "ledger_record_allocs" ||
+			m.Name == "tracer_emit_allocs"
 		if m.Value < 0 || (m.Value == 0 && !zeroOK) ||
 			m.Tolerance <= 0 || m.Unit == "" {
 			t.Fatalf("metric %q not measured sanely: %+v", w.name, m)

@@ -277,8 +277,8 @@ func (g *Guard) OnWindow(s sim.WindowStats) {
 			source = "fallback"
 		}
 		g.mDecisions.Inc(g.innerName, source)
-		g.Obs.MarkNow("guard", "decision", map[string]any{
-			"level": g.Inner.GPULevel(), "source": source})
+		g.Obs.MarkNow("guard", "decision",
+			obs.Int("level", g.Inner.GPULevel()), obs.Str("source", source))
 	}
 
 	lvl, ok := g.innerLevel()
@@ -305,7 +305,7 @@ func (g *Guard) OnWindow(s sim.WindowStats) {
 				g.Stats.Recoveries++
 				if g.Obs != nil {
 					g.mRecoveries.Inc(g.innerName)
-					g.Obs.MarkNow("guard", "recovery", map[string]any{"level": lvl})
+					g.Obs.MarkNow("guard", "recovery", obs.Int("level", lvl))
 				}
 				g.audit.RecordGuard(g.auditTrack, "recovery", g.Inner.Name(), lvl, "")
 			} else {
@@ -344,8 +344,8 @@ func (g *Guard) strike(reason string) {
 	g.strikes++
 	if g.Obs != nil {
 		g.mStrikes.Inc(g.innerName, reason)
-		g.Obs.MarkNow("guard", "violation", map[string]any{
-			"reason": reason, "strikes": g.strikes})
+		g.Obs.MarkNow("guard", "violation",
+			obs.Str("reason", reason), obs.Int("strikes", g.strikes))
 	}
 	g.audit.RecordGuard(g.auditTrack, "strike", g.Inner.Name(), g.lastGood, reason)
 	if !g.fallback && g.strikes >= g.maxStrikes() {
@@ -354,8 +354,8 @@ func (g *Guard) strike(reason string) {
 		g.Stats.FallbackActivations++
 		if g.Obs != nil {
 			g.mFallbacks.Inc(g.innerName)
-			g.Obs.MarkNow("guard", "fallback", map[string]any{
-				"strikes": g.strikes, "fallback": g.Fallback.Name()})
+			g.Obs.MarkNow("guard", "fallback",
+				obs.Str("fallback", g.Fallback.Name()), obs.Int("strikes", g.strikes))
 		}
 		g.audit.RecordGuard(g.auditTrack, "failover", g.Inner.Name(), g.lastGood, reason)
 	}

@@ -58,25 +58,25 @@ func (o *Observer) Now() time.Duration {
 }
 
 // Span records a complete span on this observer's track.
-func (o *Observer) Span(cat, name string, start, dur time.Duration, args map[string]any) {
+func (o *Observer) Span(cat, name string, start, dur time.Duration, args ...Arg) {
 	if o == nil {
 		return
 	}
-	o.Tracer.Complete(cat, name, o.TrackID, start, dur, args)
+	o.Tracer.Complete(cat, name, o.TrackID, start, dur, args...)
 }
 
 // Mark records an instant event at an explicit simulated time.
-func (o *Observer) Mark(cat, name string, at time.Duration, args map[string]any) {
+func (o *Observer) Mark(cat, name string, at time.Duration, args ...Arg) {
 	if o == nil {
 		return
 	}
-	o.Tracer.Instant(cat, name, o.TrackID, at, args)
+	o.Tracer.Instant(cat, name, o.TrackID, at, args...)
 }
 
 // MarkNow records an instant event at the installed clock's current time.
-func (o *Observer) MarkNow(cat, name string, args map[string]any) {
+func (o *Observer) MarkNow(cat, name string, args ...Arg) {
 	if o == nil {
 		return
 	}
-	o.Tracer.Instant(cat, name, o.TrackID, o.Now(), args)
+	o.Tracer.Instant(cat, name, o.TrackID, o.Now(), args...)
 }

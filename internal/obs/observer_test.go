@@ -13,9 +13,9 @@ func TestNilObserver(t *testing.T) {
 	if o.Now() != 0 {
 		t.Fatal("nil observer clock must read 0")
 	}
-	o.Span("c", "n", 0, time.Second, nil)
-	o.Mark("c", "n", 0, nil)
-	o.MarkNow("c", "n", nil)
+	o.Span("c", "n", 0, time.Second)
+	o.Mark("c", "n", 0)
+	o.MarkNow("c", "n")
 	if o.ForTrack(7) != nil {
 		t.Fatal("ForTrack on nil must stay nil")
 	}
@@ -25,7 +25,7 @@ func TestObserverClockAndTracks(t *testing.T) {
 	o := New()
 	now := 250 * time.Millisecond
 	o.SetClock(func() time.Duration { return now })
-	o.MarkNow("guard", "decision", nil)
+	o.MarkNow("guard", "decision")
 
 	// A per-node copy shares the sinks but has its own track and clock.
 	n := o.ForTrack(105)
@@ -36,7 +36,7 @@ func TestObserverClockAndTracks(t *testing.T) {
 		t.Fatal("ForTrack must not inherit the clock")
 	}
 	n.SetClock(func() time.Duration { return time.Second })
-	n.MarkNow("guard", "decision", nil)
+	n.MarkNow("guard", "decision")
 	if o.Now() != now {
 		t.Fatal("copy clock must not leak back")
 	}

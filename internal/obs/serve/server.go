@@ -314,7 +314,7 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+"_trace.json"))
-	if err := obs.WriteChromeTrace(w, o.Tracer.Events()); err != nil {
+	if err := o.Tracer.WriteTrace(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

@@ -35,8 +35,8 @@ func fixedObserver() *obs.Observer {
 	for _, v := range []float64{0.5, 2, 8, 32} {
 		h.Observe(v, "PowerLens")
 	}
-	o.Tracer.Complete("block", "b0", 1, 0, 2*time.Millisecond, map[string]any{"level": 3})
-	o.Tracer.Instant("decision", "d0", 1, time.Millisecond, nil)
+	o.Tracer.Complete("block", "b0", 1, 0, 2*time.Millisecond, obs.Int("level", 3))
+	o.Tracer.Instant("decision", "d0", 1, time.Millisecond)
 	return o
 }
 
@@ -307,7 +307,7 @@ func TestConcurrentScrapesDuringRun(t *testing.T) {
 			}
 			c.Inc("PowerLens")
 			hist.Observe(float64(i%3), "PowerLens")
-			o.Tracer.Complete("block", "b", 1, time.Duration(i), 1, map[string]any{"i": i})
+			o.Tracer.Complete("block", "b", 1, time.Duration(i), 1, obs.Int("i", i))
 		}
 	}()
 	for g := 0; g < 4; g++ {

@@ -14,16 +14,16 @@ func sampleEvents() []obs.Event {
 	o.SetClock(func() time.Duration { clock += 10 * time.Millisecond; return clock })
 	for i := 0; i < 5; i++ {
 		o.Span("block", "727 MHz", time.Duration(i)*100*time.Millisecond,
-			90*time.Millisecond, nil)
-		o.Mark("decision", "d", time.Duration(i)*100*time.Millisecond, nil)
+			90*time.Millisecond)
+		o.Mark("decision", "d", time.Duration(i)*100*time.Millisecond)
 	}
-	o.Span("actuation", "dvfs-switch", 95*time.Millisecond, 5*time.Millisecond, nil)
+	o.Span("actuation", "dvfs-switch", 95*time.Millisecond, 5*time.Millisecond)
 	n := o.ForTrack(102)
-	n.Span("block", "1300 MHz", 0, 50*time.Millisecond, nil)
+	n.Span("block", "1300 MHz", 0, 50*time.Millisecond)
 	j := o.ForTrack(12)
-	j.Span("job", "resnet152", 0, 400*time.Millisecond, nil)
-	j.Mark("node", "crash", 410*time.Millisecond, nil)
-	o.Tracer.Instant("job", "dropped", 0, 420*time.Millisecond, nil)
+	j.Span("job", "resnet152", 0, 400*time.Millisecond)
+	j.Mark("node", "crash", 410*time.Millisecond)
+	o.Tracer.Instant("job", "dropped", 0, 420*time.Millisecond)
 	return o.Tracer.Events()
 }
 
@@ -48,7 +48,7 @@ func TestTimelineThinning(t *testing.T) {
 	var evs []obs.Event
 	o := obs.New()
 	for i := 0; i < 20000; i++ {
-		o.Span("block", "x", time.Duration(i)*time.Millisecond, time.Millisecond, nil)
+		o.Span("block", "x", time.Duration(i)*time.Millisecond, time.Millisecond)
 	}
 	evs = o.Tracer.Events()
 	svg := TimelineSVG(evs)

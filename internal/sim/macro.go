@@ -308,7 +308,7 @@ func (e *Executor) fastForward(g *graph.Graph, batch int) bool {
 	// Windowed mode (e.g. a guard wrapping the plan): a pass that would
 	// reach or cross the window boundary must micro-step so the tick fires
 	// at the exact simulated instant.
-	if !e.windowInert && e.winElapsed+s.wall >= e.WindowPeriod {
+	if !e.windowInert && e.winElapsed+s.wall >= e.window {
 		e.Summaries.noteDemoted()
 		return false
 	}

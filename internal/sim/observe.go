@@ -68,6 +68,10 @@ func (e *Executor) obsReset() {
 			"Mean rail power per governor window.", powerBuckets, "controller"),
 	}
 	e.ctlName = e.Ctl.Name()
+	e.blockNames = e.blockNames[:0]
+	for _, f := range e.Platform.GPUFreqsHz {
+		e.blockNames = append(e.blockNames, fmt.Sprintf("%.0f MHz", f/1e6))
+	}
 	e.segStart, e.segLevel = 0, e.gpuLevel
 	if e.Faults != nil {
 		e.Faults.SetObserver(e.Obs)
@@ -79,11 +83,10 @@ func (e *Executor) noteWindow(stats WindowStats) {
 	e.mx.windows.Inc(e.ctlName)
 	e.mx.busy.Observe(stats.GPUBusy, e.ctlName)
 	e.mx.power.Observe(stats.AvgPowerW, e.ctlName)
-	e.Obs.Mark("decision", e.ctlName, e.sensor.Now(), map[string]any{
-		"gpu_level": e.gpuLevel,
-		"busy":      stats.GPUBusy,
-		"power_w":   stats.AvgPowerW,
-	})
+	e.Obs.Mark("decision", e.ctlName, e.sensor.Now(),
+		obs.Float("busy", stats.GPUBusy),
+		obs.Int("gpu_level", e.gpuLevel),
+		obs.Float("power_w", stats.AvgPowerW))
 }
 
 // noteSwitch closes the departing frequency-residency block span and records
@@ -92,17 +95,21 @@ func (e *Executor) noteWindow(stats WindowStats) {
 func (e *Executor) noteSwitch(from, want int, start time.Duration, attempts, stuck, clamped int) {
 	now := e.sensor.Now()
 	e.flushBlockSpan(start)
-	args := map[string]any{"from": from, "want": want, "applied": e.gpuLevel}
+	// Args in key order; the optional fault counts only when nonzero.
+	var buf [6]obs.Arg
+	args := append(buf[:0], obs.Int("applied", e.gpuLevel))
 	if attempts > 1 {
-		args["attempts"] = attempts
-	}
-	if stuck > 0 {
-		args["stuck"] = stuck
+		args = append(args, obs.Int("attempts", attempts))
 	}
 	if clamped > 0 {
-		args["clamped"] = clamped
+		args = append(args, obs.Int("clamped", clamped))
 	}
-	e.Obs.Span("actuation", "dvfs-switch", start, now-start, args)
+	args = append(args, obs.Int("from", from))
+	if stuck > 0 {
+		args = append(args, obs.Int("stuck", stuck))
+	}
+	args = append(args, obs.Int("want", want))
+	e.Obs.Span("actuation", "dvfs-switch", start, now-start, args...)
 	e.mx.switches.Add(float64(attempts), e.ctlName)
 	e.segStart, e.segLevel = now, e.gpuLevel
 }
@@ -113,13 +120,13 @@ func (e *Executor) flushBlockSpan(end time.Duration) {
 		return
 	}
 	f := e.Platform.GPUFreqsHz[e.segLevel]
-	e.Obs.Span("block", fmt.Sprintf("%.0f MHz", f/1e6), e.segStart, end-e.segStart,
-		map[string]any{"gpu_level": e.segLevel, "freq_mhz": f / 1e6})
+	e.Obs.Span("block", e.blockNames[e.segLevel], e.segStart, end-e.segStart,
+		obs.Float("freq_mhz", f/1e6), obs.Int("gpu_level", e.segLevel))
 }
 
 // noteFault records an injected-fault instant on the trace.
-func (e *Executor) noteFault(name string, args map[string]any) {
-	e.Obs.Mark("fault", name, e.sensor.Now(), args)
+func (e *Executor) noteFault(name string, args ...obs.Arg) {
+	e.Obs.Mark("fault", name, e.sensor.Now(), args...)
 }
 
 // obsResult flushes the final residency block and the run totals.
