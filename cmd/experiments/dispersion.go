@@ -20,6 +20,8 @@ func runDispersion() {
 		fmt.Printf("=== %s ===\n", p.Name)
 		for _, name := range models.Names() {
 			g := models.MustBuild(name)
+			grid := sim.NewCostGrid(p, g, 1)
+			top := p.NumGPULevels() - 1
 			bounds := []int{0}
 			prevH := g.Layers[0].OutShape.H
 			for _, l := range g.Layers {
@@ -49,7 +51,7 @@ func runDispersion() {
 					if l.Kind == graph.OpInput {
 						continue
 					}
-					c := p.GPUOpCost(l.FLOPs(), l.MemBytes(), p.MaxGPUFreq())
+					c := grid.Cost(top, id)
 					totT += c.Time.Seconds()
 					memT += c.Time.Seconds() * (1 - c.ComputeUt)
 				}

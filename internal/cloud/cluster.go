@@ -102,6 +102,12 @@ type Config struct {
 	// StealSeed seeds each shard's victim order for work stealing
 	// (default 1; ignored by the single-queue dispatcher).
 	StealSeed int64
+
+	// grids is the run's cost-grid set: Run builds one and every executor
+	// the run creates — dry-run probes and node simulations, on both
+	// dispatchers — prices its layers from it, so each distinct (model,
+	// batch) is priced once per run. Tests preset it to count the builds.
+	grids *sim.CostGrids
 }
 
 // Trace track-ID scheme: job lifecycle events for node n go on track
@@ -213,11 +219,12 @@ func (s *svcKeys) key(j Job) svcKey {
 
 // newDryRunExecutor builds the executor for a dispatch-plan service probe: a
 // fresh fault-free controller at the cluster's batch setting, sharing the
-// run's macro cache when one is configured (probe and node simulations hit
-// the same flow summaries).
+// run's cost grids, and its macro cache when one is configured (probe and
+// node simulations hit the same grids and flow summaries).
 func newDryRunExecutor(cfg Config) *sim.Executor {
 	e := sim.NewExecutor(cfg.Platform, cfg.NewCtl())
 	e.Batch = cfg.Batch
+	e.Grids = cfg.grids
 	if cfg.Macro != nil || cfg.TraceOff {
 		e.SensorPeriod = 0
 		e.Summaries = cfg.Macro
@@ -262,6 +269,9 @@ func Run(cfg Config, jobs []Job) (Result, error) {
 	}
 	if cfg.Platform == nil || cfg.NewCtl == nil {
 		return Result{}, fmt.Errorf("cloud: platform and controller factory required")
+	}
+	if cfg.grids == nil {
+		cfg.grids = sim.NewCostGrids(cfg.Platform)
 	}
 	if shards := cfg.Shards; shards > 1 {
 		if shards > cfg.Nodes {
@@ -411,6 +421,7 @@ func finishRun(cfg Config, nodes []nodeState, crashAt []time.Duration, res Resul
 			defer wg.Done()
 			e := sim.NewExecutor(cfg.Platform, cfg.NewCtl())
 			e.Batch = cfg.Batch
+			e.Grids = cfg.grids
 			if cfg.Macro != nil || cfg.TraceOff {
 				// Macro nodes share the run's summary cache (single-flight
 				// fill across node goroutines). Executors with demoting

@@ -161,3 +161,32 @@ func TestServiceCacheKeyedOnGraphDigest(t *testing.T) {
 		t.Fatalf("sharded makespan %v, want %v (fill phase aliased same-name graphs?)", res.Makespan, tBig)
 	}
 }
+
+// TestRunSharesOneGridPerModel pins the run's shared cost-grid set: a
+// 500-job run builds exactly one grid per distinct (graph digest, batch) —
+// the 12 evaluation models at batch 1 — on both dispatchers, while dry-run
+// probes and node executors read it from concurrent goroutines.
+func TestRunSharesOneGridPerModel(t *testing.T) {
+	p := hw.TX2()
+	jobs := RandomJobs(500, 4*time.Second, 5)
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"single-queue", 0}, {"sharded", 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				Nodes: 8, Platform: p, NewCtl: multiPlanFactory(),
+				Shards: tc.shards, Macro: sim.NewSummaryCache(),
+			}
+			cfg.grids = sim.NewCostGrids(p)
+			res := runCfg(t, cfg, jobs)
+			if n := cfg.grids.Len(); n != len(models.Names()) {
+				t.Fatalf("run built %d grids, want one per model = %d", n, len(models.Names()))
+			}
+			cfg.grids = nil // Run builds its own set
+			if again := runCfg(t, cfg, jobs); !reflect.DeepEqual(res, again) {
+				t.Fatalf("preset grid set changed the result:\npreset %+v\nown    %+v", res, again)
+			}
+		})
+	}
+}

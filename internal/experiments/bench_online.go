@@ -64,7 +64,7 @@ func onlineBench(opt BenchOptions, add func(group, name string, value float64, u
 	add("online", "analyze_ns_cached", float64(d.Nanoseconds())/float64(cachedIters), "ns/op", 0.50, false)
 
 	// Steady-state executor stepping allocations with tracing off. The first
-	// run warms the per-run scratch (sensor, op cost buffer, compiled plan
+	// run warms the per-run scratch (sensor, cost grid, compiled plan
 	// schedule); after that the serving loop must not touch the heap.
 	a, err := fw.Analyze(g)
 	if err != nil {

@@ -92,6 +92,57 @@ func TestCompiledScheduleRecompilesOnPlatformChange(t *testing.T) {
 	}
 }
 
+// TestMultiPlanPlanSwapTakesEffectAfterReset pins the plan-resolution memo:
+// MultiPlan resolves a graph's plan once per graph change, so a plan swapped
+// into Plans between runs must take effect once Reset has run — and, on the
+// executor, on the next task.
+func TestMultiPlanPlanSwapTakesEffectAfterReset(t *testing.T) {
+	p := hw.TX2()
+	g := models.AlexNet()
+	top := p.NumGPULevels() - 1
+	plans := map[string]*FrequencyPlan{g.Name: {Model: g.Name, Points: map[int]int{0: 0}}}
+	ctl := NewMultiPlan(plans)
+	ctl.Reset(p)
+	ctl.BeforeLayer(g, 0)
+	if ctl.GPULevel() != 0 {
+		t.Fatalf("low plan applied level %d", ctl.GPULevel())
+	}
+
+	plans[g.Name] = &FrequencyPlan{Model: g.Name, Points: map[int]int{0: top}}
+	ctl.Reset(p)
+	ctl.BeforeLayer(g, 0)
+	if ctl.GPULevel() != top {
+		t.Fatalf("swapped plan not applied after Reset: level %d, want %d", ctl.GPULevel(), top)
+	}
+
+	// A graph whose plan appears between runs is picked up too.
+	delete(plans, g.Name)
+	ctl.Reset(p)
+	mid := ctl.GPULevel()
+	ctl.BeforeLayer(g, 0)
+	if ctl.GPULevel() != mid {
+		t.Fatalf("removed plan still applied: level %d", ctl.GPULevel())
+	}
+	plans[g.Name] = &FrequencyPlan{Model: g.Name, Points: map[int]int{0: 1}}
+	ctl.Reset(p)
+	ctl.BeforeLayer(g, 0)
+	if ctl.GPULevel() != 1 {
+		t.Fatalf("added plan not applied after Reset: level %d", ctl.GPULevel())
+	}
+
+	// Through the executor: each task resets the controller.
+	e := sim.NewExecutor(p, ctl)
+	e.SensorPeriod = 0
+	first := e.RunTask(g, 2)
+	plans[g.Name] = &FrequencyPlan{Model: g.Name, Points: map[int]int{0: top}}
+	second := e.RunTask(g, 2)
+	want := sim.NewExecutor(p, NewMultiPlan(map[string]*FrequencyPlan{g.Name: plans[g.Name]}))
+	want.SensorPeriod = 0
+	if r := want.RunTask(g, 2); !reflect.DeepEqual(second, r) || reflect.DeepEqual(first, second) {
+		t.Fatalf("swapped plan did not take effect on the next task:\nfirst  %+v\nsecond %+v\nwant   %+v", first, second, r)
+	}
+}
+
 func TestMultiPlanCompiledMatchesMapLookup(t *testing.T) {
 	p := hw.TX2()
 	g1, g2 := models.AlexNet(), models.MustBuild("mobilenet_v3")
@@ -129,7 +180,7 @@ func TestPowerLensRunTaskZeroAlloc(t *testing.T) {
 	ctl := NewPowerLens(planForEveryThirdLayer(g, p))
 	e := sim.NewExecutor(p, ctl)
 	e.SensorPeriod = 0
-	e.RunTask(g, 2) // warm: compiled schedule, sensor, op cost buffer
+	e.RunTask(g, 2) // warm: compiled schedule, sensor, cost grid
 
 	allocs := testing.AllocsPerRun(10, func() {
 		e.RunTask(g, 2)

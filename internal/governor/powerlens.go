@@ -252,14 +252,18 @@ var (
 // MultiPlan serves a task flow of different models: it dispatches
 // BeforeLayer to the plan matching the running graph.
 type MultiPlan struct {
-	Plans map[string]*FrequencyPlan // model name → plan
+	// Plans maps a model name to its plan. It must not change during a run:
+	// the plan serving a graph is resolved once per graph change and kept
+	// until the next Reset.
+	Plans map[string]*FrequencyPlan
 
 	platform *hw.Platform
 	level    int
 
-	// Compiled schedules, one per graph served (bounded; see BeforeLayer),
-	// with a last-graph memo so the per-layer hook skips the map on the
-	// common same-graph-as-last-layer case.
+	// Compiled schedules, one per graph served (bounded; see scheduleFor),
+	// with a last-graph memo so the per-layer hooks skip both the plan and
+	// the schedule maps while the graph stays the same. lastSched is nil
+	// when no plan covers lastGraph. Reset clears the memo.
 	compiled  map[*graph.Graph]*mpSchedule
 	lastGraph *graph.Graph
 	lastSched *mpSchedule
@@ -298,10 +302,12 @@ func (m *MultiPlan) SetAudit(rec *audit.Recorder, track int) {
 	m.auditTrack = track
 }
 
-// Reset implements sim.Controller.
+// Reset implements sim.Controller. It also drops the last-graph memo, so a
+// plan swapped into Plans between runs takes effect.
 func (m *MultiPlan) Reset(p *hw.Platform) {
 	m.platform = p
 	m.level = p.NumGPULevels() / 2
+	m.lastGraph, m.lastSched = nil, nil
 }
 
 // GPULevel implements sim.Controller.
@@ -312,39 +318,44 @@ func (m *MultiPlan) CPULevel() int { return len(m.platform.CPUFreqsHz) - 1 }
 
 // BeforeLayer implements sim.Controller.
 func (m *MultiPlan) BeforeLayer(g *graph.Graph, layerID int) {
-	plan, ok := m.Plans[g.Name]
-	if !ok {
+	e := m.scheduleFor(g)
+	if e == nil {
 		return
 	}
-	e := m.scheduleFor(g, plan)
 	if layerID >= 0 && layerID < len(e.sched) {
 		if lvl := e.sched[layerID]; lvl >= 0 {
 			m.level = lvl
 			if m.audit != nil {
-				m.audit.RecordApply(m.auditTrack, "powerlens", plan.Model,
+				m.audit.RecordApply(m.auditTrack, "powerlens", e.plan.Model,
 					e.digest, e.blocks[layerID], layerID, lvl)
 			}
 		}
 	}
 }
 
-// scheduleFor returns g's compiled schedule, building or refreshing it if the
-// cache entry is missing or stale.
-func (m *MultiPlan) scheduleFor(g *graph.Graph, plan *FrequencyPlan) *mpSchedule {
-	e := m.lastSched
-	if m.lastGraph != g {
-		if m.compiled == nil {
+// scheduleFor returns g's compiled schedule under the plan Plans holds for
+// it, or nil when no plan covers g. The plan is looked up, and the schedule
+// built or refreshed if missing or stale, only when the graph differs from
+// the last call's; repeat calls for the same graph cost one pointer compare.
+func (m *MultiPlan) scheduleFor(g *graph.Graph) *mpSchedule {
+	if g == m.lastGraph {
+		return m.lastSched
+	}
+	m.lastGraph, m.lastSched = g, nil
+	plan, ok := m.Plans[g.Name]
+	if !ok {
+		return nil
+	}
+	if m.compiled == nil {
+		m.compiled = make(map[*graph.Graph]*mpSchedule)
+	}
+	e := m.compiled[g]
+	if e == nil {
+		if len(m.compiled) >= maxCompiledSchedules {
 			m.compiled = make(map[*graph.Graph]*mpSchedule)
 		}
-		e = m.compiled[g]
-		if e == nil {
-			if len(m.compiled) >= maxCompiledSchedules {
-				m.compiled = make(map[*graph.Graph]*mpSchedule)
-			}
-			e = &mpSchedule{digest: graph.Digest(g)}
-			m.compiled[g] = e
-		}
-		m.lastGraph, m.lastSched = g, e
+		e = &mpSchedule{digest: graph.Digest(g)}
+		m.compiled[g] = e
 	}
 	if e.plan != plan || e.platform != m.platform {
 		e.sched = compileSchedule(plan, g, m.platform, e.sched)
@@ -352,16 +363,17 @@ func (m *MultiPlan) scheduleFor(g *graph.Graph, plan *FrequencyPlan) *mpSchedule
 		e.planDigest = hashSchedule(e.sched, e.blocks)
 		e.plan, e.platform = plan, m.platform
 	}
+	m.lastSched = e
 	return e
 }
 
 // MacroPlanDigest implements sim.MacroSteppable (see PowerLens).
 func (m *MultiPlan) MacroPlanDigest(g *graph.Graph) (uint64, bool) {
-	plan, ok := m.Plans[g.Name]
-	if !ok {
+	e := m.scheduleFor(g)
+	if e == nil {
 		return macroNoPlanDigest, true
 	}
-	return m.scheduleFor(g, plan).planDigest, true
+	return e.planDigest, true
 }
 
 // MacroWindowInert implements sim.MacroSteppable.
@@ -369,22 +381,22 @@ func (m *MultiPlan) MacroWindowInert() bool { return true }
 
 // MacroAdvancePass implements sim.MacroSteppable.
 func (m *MultiPlan) MacroAdvancePass(g *graph.Graph, exitGPULevel int) {
-	plan, ok := m.Plans[g.Name]
-	if !ok {
+	if m.scheduleFor(g) == nil {
 		return
 	}
-	m.scheduleFor(g, plan)
 	m.level = exitGPULevel
 }
 
 // BlockIndex implements sim.BlockResolver: the power block under the plan
 // matching the running graph, or 0 when no plan applies.
 func (m *MultiPlan) BlockIndex(g *graph.Graph, layerID int) int {
-	plan, ok := m.Plans[g.Name]
-	if !ok || m.platform == nil {
+	if m.platform == nil {
 		return 0
 	}
-	e := m.scheduleFor(g, plan)
+	e := m.scheduleFor(g)
+	if e == nil {
+		return 0
+	}
 	if layerID >= 0 && layerID < len(e.blocks) {
 		return e.blocks[layerID]
 	}

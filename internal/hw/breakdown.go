@@ -19,13 +19,12 @@ func (b PowerBreakdown) TotalW() float64 {
 // GPUOpBreakdown returns the per-component power draw of executing the given
 // work at frequency f. The components sum to GPUOpCost's PowerW.
 func (p *Platform) GPUOpBreakdown(flops, bytes int64, f float64) PowerBreakdown {
-	c := p.GPUOpCost(flops, bytes, f)
-	v := p.GPUVoltage(f)
-	leak := p.GPULeakW * (v / p.VMin) * (v / p.VMin)
-	dyn := p.GPUCdyn * v * v * f * (p.GPUClockFrac + (1-p.GPUClockFrac)*c.ComputeUt)
+	ft := p.GPUTermsAt(f)
+	c := p.GPUOpCostAt(ft, flops, bytes)
+	dyn := ft.cv2f * (p.GPUClockFrac + (1-p.GPUClockFrac)*c.ComputeUt)
 	dram := 0.0
 	if t := c.Time.Seconds(); t > 0 {
 		dram = p.DRAMEnergyPB * float64(bytes) / t
 	}
-	return PowerBreakdown{IdleW: p.IdleW, LeakW: leak, DynamicW: dyn, DRAMW: dram}
+	return PowerBreakdown{IdleW: p.IdleW, LeakW: ft.leakW, DynamicW: dyn, DRAMW: dram}
 }

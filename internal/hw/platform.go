@@ -14,6 +14,10 @@ package hw
 import "time"
 
 // Platform describes one simulated Jetson board.
+//
+// A platform must not be modified after its first use: caches key on the
+// *Platform pointer (sim's cost grids and flow summaries), so a changed
+// field would be served stale costs. Build a new platform instead.
 type Platform struct {
 	Name string
 

@@ -64,6 +64,27 @@ type OpCost struct {
 // per-block optimal frequencies across the ladder.
 const OverlapBeta = 0.35
 
+// GPUTerms are the frequency-dependent factors of the GPU cost model at one
+// frequency: everything GPUOpCost and GPUIdlePower derive from f alone, the
+// V–f curve's math.Pow included. A cost table evaluates them once per ladder
+// level and then prices each op with GPUOpCostAt; every product is formed in
+// the same order as in GPUOpCost, so the results carry the same bits.
+type GPUTerms struct {
+	rate  float64 // achievable FLOP/s: ComputeEff·GPUFlopsPerCycle·f
+	leakW float64 // GPU leakage at V(f)
+	cv2f  float64 // dynamic power at full clock activity: Cdyn·V²·f
+}
+
+// GPUTermsAt evaluates the per-frequency terms of the GPU cost model at f.
+func (p *Platform) GPUTermsAt(f float64) GPUTerms {
+	v := p.GPUVoltage(f)
+	return GPUTerms{
+		rate:  p.ComputeEff * p.GPUFlopsPerCycle * f,
+		leakW: p.GPULeakW * (v / p.VMin) * (v / p.VMin),
+		cv2f:  p.GPUCdyn * v * v * f,
+	}
+}
+
 // GPUOpCost returns the roofline latency and energy of executing `flops`
 // floating-point operations touching `bytes` of DRAM at GPU frequency f.
 //
@@ -75,7 +96,13 @@ const OverlapBeta = 0.35
 // Power: board idle + GPU leakage (∝V²) + dynamic C·V²·f scaled by compute
 // utilization (with a clocking floor while busy) + DRAM energy per byte.
 func (p *Platform) GPUOpCost(flops, bytes int64, f float64) OpCost {
-	tc := float64(flops) / (p.ComputeEff * p.GPUFlopsPerCycle * f)
+	return p.GPUOpCostAt(p.GPUTermsAt(f), flops, bytes)
+}
+
+// GPUOpCostAt is GPUOpCost with the frequency-dependent terms evaluated
+// already (see GPUTerms): the per-op part of the model.
+func (p *Platform) GPUOpCostAt(ft GPUTerms, flops, bytes int64) OpCost {
+	tc := float64(flops) / ft.rate
 	tm := float64(bytes) / (p.MemEff * p.MemBandwidth)
 	t := tc + OverlapBeta*tm
 	if tm > tc {
@@ -90,14 +117,12 @@ func (p *Platform) GPUOpCost(flops, bytes int64, f float64) OpCost {
 		uComp = tc / t
 	}
 
-	v := p.GPUVoltage(f)
-	leak := p.GPULeakW * (v / p.VMin) * (v / p.VMin)
-	dyn := p.GPUCdyn * v * v * f * (p.GPUClockFrac + (1-p.GPUClockFrac)*uComp)
+	dyn := ft.cv2f * (p.GPUClockFrac + (1-p.GPUClockFrac)*uComp)
 	dramW := 0.0
 	if t > 0 {
 		dramW = p.DRAMEnergyPB * float64(bytes) / t
 	}
-	power := p.IdleW + leak + dyn + dramW
+	power := p.IdleW + ft.leakW + dyn + dramW
 	return OpCost{
 		Time:      time.Duration(t * float64(time.Second)),
 		EnergyJ:   power * t,
@@ -110,10 +135,14 @@ func (p *Platform) GPUOpCost(flops, bytes int64, f float64) OpCost {
 // f (board idle + leakage + clock-tree dynamic power). Reactive governors
 // pay this during the lag between load arrival and their response.
 func (p *Platform) GPUIdlePower(f float64) float64 {
-	v := p.GPUVoltage(f)
-	leak := p.GPULeakW * (v / p.VMin) * (v / p.VMin)
-	dyn := p.GPUCdyn * v * v * f * p.GPUClockFrac * 0.5 // gated clocks while idle
-	return p.IdleW + leak + dyn
+	return p.GPUIdlePowerAt(p.GPUTermsAt(f))
+}
+
+// GPUIdlePowerAt is GPUIdlePower with the frequency-dependent terms
+// evaluated already.
+func (p *Platform) GPUIdlePowerAt(ft GPUTerms) float64 {
+	dyn := ft.cv2f * p.GPUClockFrac * 0.5 // gated clocks while idle
+	return p.IdleW + ft.leakW + dyn
 }
 
 // CPUBusyPower returns CPU rail power while running at frequency f.

@@ -6,7 +6,7 @@
 // Design constraints, inherited from the obs layer:
 //
 //   - Nil-safe: a nil *Ledger accepts every call and does nothing, so the
-//     executor pays one pointer check per layer when attribution is off.
+//     executor pays one pointer check per pass when attribution is off.
 //   - Zero steady-state allocations: RecordSegment on an existing
 //     (digest, block, level) cell touches no heap.
 //   - Deterministic merge: all mergeable state is integral — event counts,
@@ -103,7 +103,7 @@ func (l *Ledger) RecordSegment(k Key, name string, busy time.Duration, energyJ f
 
 // Quantize converts joules to the ledger's native nanojoule unit, exactly as
 // RecordSegment does per event. Exported for callers that aggregate segment
-// events outside the ledger (the executor's flow summaries) and later apply
+// events outside the ledger (the executor's per-pass cells) and later apply
 // them through AddSegments: quantizing per event before summing keeps the
 // aggregate equal to what the per-event calls would have accumulated.
 func Quantize(energyJ float64) uint64 { return toNJ(energyJ) }
@@ -112,7 +112,8 @@ func Quantize(energyJ float64) uint64 { return toNJ(energyJ) }
 // in one call: ops executions totalling busy GPU time and energyNJ
 // nanojoules (per-event quantized; see Quantize). Because cell state is
 // integral, this is exactly equivalent to ops individual RecordSegment
-// calls — the macro-stepping executor applies whole-pass deltas through it.
+// calls — the executor applies each pass's cells through it, micro-stepped
+// or replayed.
 func (l *Ledger) AddSegments(k Key, name string, ops uint64, busy time.Duration, energyNJ uint64) {
 	if l == nil || ops == 0 {
 		return

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"powerlens/internal/graph"
+	"powerlens/internal/hw"
 	"powerlens/internal/obs/ledger"
 )
 
@@ -26,10 +27,7 @@ type BlockResolver interface {
 func (e *Executor) attribReset() {
 	e.passes, e.qosViolations = 0, 0
 	e.attrib = e.TrackLevels || e.Ledger != nil || e.SLO != nil
-	e.blocks = nil
-	if e.Ledger != nil {
-		e.blocks, _ = e.Ctl.(BlockResolver)
-	}
+	e.blocks, _ = e.Ctl.(BlockResolver)
 	if !e.attrib {
 		return
 	}
@@ -45,26 +43,50 @@ func (e *Executor) attribReset() {
 	}
 }
 
-// recordSegment attributes one executed layer to its (model, block, level)
-// ledger cell. Only called when a ledger is attached.
-func (e *Executor) recordSegment(g *graph.Graph, layerID int, busy time.Duration, energyJ float64) {
-	block := 0
-	if e.blocks != nil {
-		block = e.blocks.BlockIndex(g, layerID)
-	}
-	k := ledger.Key{Model: e.costDigest, Block: int32(block), Level: int32(e.gpuLevel)}
-	e.Ledger.RecordSegment(k, g.Name, busy, energyJ)
+// cellDelta is one ledger cell's aggregated pass delta: the layers of one
+// pass that ran in one (power block, DVFS level). Cell state is integral
+// (ops, duration, per-layer-quantized nanojoules), so adding a delta with
+// ledger.AddSegments equals recording its layers one by one.
+type cellDelta struct {
+	block    int32
+	level    int32
+	ops      uint64
+	busy     time.Duration
+	energyNJ uint64
 }
 
-// finishPass judges and records one completed inference pass. The violation
-// verdict compares the pass's GPU busy time against the max-frequency
-// reference (costRef, computed alongside the op-cost cache); wall latency —
+// addCell adds one executed layer, costing c at the applied level, to the
+// pass's cells. Energy is quantized per layer, exactly as the ledger
+// quantizes a single segment. The scan starts at the newest cell: consecutive
+// layers usually share a block and a level.
+func (e *Executor) addCell(cells []cellDelta, g *graph.Graph, layerID int, c *hw.OpCost) []cellDelta {
+	var block int32
+	if e.blocks != nil {
+		block = int32(e.blocks.BlockIndex(g, layerID))
+	}
+	level := int32(e.gpuLevel)
+	nj := ledger.Quantize(c.PowerW * c.Time.Seconds())
+	for i := len(cells) - 1; i >= 0; i-- {
+		if d := &cells[i]; d.block == block && d.level == level {
+			d.ops++
+			d.busy += c.Time
+			d.energyNJ += nj
+			return cells
+		}
+	}
+	return append(cells, cellDelta{block: block, level: level, ops: 1, busy: c.Time, energyNJ: nj})
+}
+
+// finishPass judges and records one completed inference pass of the graph
+// with the given digest, micro-stepped or replayed, and applies its ledger
+// cells. The violation verdict compares the pass's GPU busy time against ref,
+// the max-frequency reference pass time (CostGrid.ref); wall latency —
 // including host tails — is what the ledger's latency sketch and the SLO
 // tracker record.
-func (e *Executor) finishPass(g *graph.Graph, passStart time.Duration, passEnergyJ float64, gpuBusy time.Duration) {
+func (e *Executor) finishPass(g *graph.Graph, digest uint64, ref time.Duration, passStart time.Duration, passEnergyJ float64, gpuBusy time.Duration, cells []cellDelta) {
 	e.passes++
 	violated := false
-	if ref := e.costRef; ref > 0 {
+	if ref > 0 {
 		budget := e.QoSBudget
 		if budget <= 0 {
 			budget = DefaultQoSBudget
@@ -77,14 +99,21 @@ func (e *Executor) finishPass(g *graph.Graph, passStart time.Duration, passEnerg
 	if e.Ledger == nil && e.SLO == nil {
 		return
 	}
+	if e.Ledger != nil {
+		for i := range cells {
+			c := &cells[i]
+			e.Ledger.AddSegments(ledger.Key{Model: digest, Block: c.block, Level: c.level},
+				g.Name, c.ops, c.busy, c.energyNJ)
+		}
+	}
 	now := e.sensor.Now()
 	wall := now - passStart
 	energy := e.sensor.EnergyJ() - passEnergyJ
-	e.Ledger.RecordPass(e.costDigest, g.Name, wall, energy, violated)
+	e.Ledger.RecordPass(digest, g.Name, wall, energy, violated)
 	if e.SLO != nil {
 		deg := 0.0
-		if e.costRef > 0 {
-			deg = float64(gpuBusy)/float64(e.costRef) - 1
+		if ref > 0 {
+			deg = float64(gpuBusy)/float64(ref) - 1
 		}
 		e.SLO.RecordPass(g.Name, now, wall, deg, energy, violated)
 	}

@@ -68,7 +68,7 @@ func TestAuditZeroAllocWhenDisabled(t *testing.T) {
 	e := NewExecutor(p, &auditingCtl{fixedCtl: fixedCtl{level: 3}})
 	e.SensorPeriod = 0
 	g := models.AlexNet()
-	e.RunTask(g, 2) // warm: sensor, op cost buffer
+	e.RunTask(g, 2) // warm: sensor, cost grid
 
 	allocs := testing.AllocsPerRun(10, func() {
 		e.RunTask(g, 2)

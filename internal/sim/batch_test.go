@@ -8,44 +8,6 @@ import (
 	"powerlens/internal/models"
 )
 
-func TestSegmentCostBatchAmortizesWeights(t *testing.T) {
-	p := hw.TX2()
-	g := models.VGG19() // weight-heavy FC tail
-	n := len(g.Layers) - 1
-	f := p.GPUFreqsHz[8]
-
-	t1, e1 := SegmentCostBatch(p, g, 0, n, f, 1)
-	t8, e8 := SegmentCostBatch(p, g, 0, n, f, 8)
-
-	// Batch-8 must cost less than 8x batch-1 in both time and energy
-	// (weight traffic amortizes), but more than 1x.
-	if e8 >= 8*e1 {
-		t.Fatalf("batch energy %.3f >= 8x single %.3f: no amortization", e8, 8*e1)
-	}
-	if e8 <= e1 {
-		t.Fatal("batch-8 must cost more total energy than batch-1")
-	}
-	if t8 >= 8*t1 || t8 <= t1 {
-		t.Fatalf("batch time %v outside (1x, 8x) of %v", t8, t1)
-	}
-	// Per-image EE must improve with batch.
-	if 8/e8 <= 1/e1 {
-		t.Fatalf("per-image EE did not improve: %.4f vs %.4f", 8/e8, 1/e1)
-	}
-}
-
-func TestSegmentCostBatchOneMatchesSegmentCost(t *testing.T) {
-	p := hw.AGX()
-	g := models.ResNet34()
-	n := len(g.Layers) - 1
-	f := p.GPUFreqsHz[5]
-	t1, e1 := SegmentCost(p, g, 0, n, f)
-	tb, eb := SegmentCostBatch(p, g, 0, n, f, 1)
-	if t1 != tb || e1 != eb {
-		t.Fatalf("batch=1 must equal unbatched: %v/%v vs %v/%v", t1, e1, tb, eb)
-	}
-}
-
 func TestOptimalBatchPrefersLargerBatches(t *testing.T) {
 	p := hw.TX2()
 	g := models.VGG19()

@@ -8,14 +8,14 @@ import (
 	"powerlens/internal/hw"
 )
 
-// CostTable memoizes the operator costs of one (platform, graph) pair across
+// CostTable memoizes the segment costs of one (platform, graph) pair across
 // the whole GPU ladder. The dataset generator's oracle sweep evaluates every
 // candidate block of every grid cell at every ladder level; without a table
 // that re-derives the same per-layer roofline costs (voltage-curve pow/exp
-// included) grid×blocks×levels times per network. The table computes each
-// (layer, level) cost exactly once, then answers segment queries from a
-// (startID, endID, level) memo, so repeated blocks across grid cells cost a
-// map hit and fresh blocks cost one addition per layer.
+// included) grid×blocks×levels times per network. The table reads each
+// (layer, level) cost from a batch-1 CostGrid, then answers segment queries
+// from a (startID, endID, level) memo, so repeated blocks across grid cells
+// cost a map hit and fresh blocks cost one addition per layer.
 //
 // Summation semantics are deliberately identical to SegmentCost: a segment's
 // time and energy are accumulated per layer in ascending layer-ID order
@@ -26,13 +26,7 @@ import (
 // A CostTable is not safe for concurrent use; the generator builds one per
 // network inside each worker.
 type CostTable struct {
-	p *hw.Platform
-	g *graph.Graph
-
-	// layerT/layerE are indexed [level][layerID]; OpInput layers hold zeros,
-	// matching SegmentCost's skip.
-	layerT [][]time.Duration
-	layerE [][]float64
+	grid *CostGrid
 
 	seg map[segKey]segCost
 
@@ -49,34 +43,19 @@ type segCost struct {
 	e float64
 }
 
-// NewCostTable precomputes the per-(layer, level) cost grid for g on p.
+// NewCostTable builds the batch-1 cost grid for g on p. The sweep keys
+// nothing on the graph, so the grid carries no digest: hashing a fresh random
+// network costs about as much as pricing it.
 func NewCostTable(p *hw.Platform, g *graph.Graph) *CostTable {
-	levels := p.NumGPULevels()
-	ct := &CostTable{
-		p:      p,
-		g:      g,
-		layerT: make([][]time.Duration, levels),
-		layerE: make([][]float64, levels),
+	return &CostTable{
+		grid:   buildCostGrid(nil, p, g, 0, 1),
 		seg:    make(map[segKey]segCost),
-		scores: make([]float64, levels),
+		scores: make([]float64, p.NumGPULevels()),
 	}
-	for lvl, f := range p.GPUFreqsHz {
-		ts := make([]time.Duration, len(g.Layers))
-		es := make([]float64, len(g.Layers))
-		for id, l := range g.Layers {
-			if l.Kind == graph.OpInput {
-				continue
-			}
-			c := p.GPUOpCost(l.FLOPs(), l.MemBytes(), f)
-			ts[id], es[id] = c.Time, c.EnergyJ
-		}
-		ct.layerT[lvl], ct.layerE[lvl] = ts, es
-	}
-	return ct
 }
 
 // Platform returns the platform the table was built for.
-func (ct *CostTable) Platform() *hw.Platform { return ct.p }
+func (ct *CostTable) Platform() *hw.Platform { return ct.grid.platform }
 
 // SegmentCost returns the time and energy of executing layers [startID,
 // endID] at ladder level lvl — the memoized equivalent of the package-level
@@ -88,13 +67,7 @@ func (ct *CostTable) SegmentCost(startID, endID, lvl int) (time.Duration, float6
 		return c.t, c.e
 	}
 	ct.Misses++
-	var t time.Duration
-	var e float64
-	ts, es := ct.layerT[lvl], ct.layerE[lvl]
-	for id := startID; id <= endID; id++ {
-		t += ts[id]
-		e += es[id]
-	}
+	t, e := ct.grid.segment(startID, endID, lvl)
 	ct.seg[key] = segCost{t, e}
 	return t, e
 }
@@ -103,10 +76,10 @@ func (ct *CostTable) SegmentCost(startID, endID, lvl int) (time.Duration, float6
 // costs; it returns exactly what the package-level OptimalSegmentLevel
 // returns for the same segment.
 func (ct *CostTable) OptimalSegmentLevel(startID, endID int) (best int, energies []float64) {
-	energies = make([]float64, ct.p.NumGPULevels())
+	energies = make([]float64, len(ct.scores))
 	scores := ct.scores
 	best = 0
-	for i := range ct.p.GPUFreqsHz {
+	for i := range scores {
 		t, e := ct.SegmentCost(startID, endID, i)
 		energies[i] = e
 		scores[i] = e * math.Pow(t.Seconds(), PerfWeight)

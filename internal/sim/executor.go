@@ -186,10 +186,11 @@ type Executor struct {
 	// keeps the exact uninstrumented code path; observation never feeds back
 	// into the simulation, so results are identical either way.
 	Obs *obs.Observer
-	// Ledger, when non-nil, receives energy/latency attribution events from
-	// the step loop: one segment per executed layer keyed on (model digest,
-	// power block, DVFS level) and one pass record per inference pass. Like
-	// Obs, it never feeds back into the simulation (see attrib.go).
+	// Ledger, when non-nil, receives energy/latency attribution from the step
+	// loop: each pass's (model digest, power block, DVFS level) cells, added
+	// up layer by layer and applied once at pass end, plus one pass record
+	// per inference pass. Like Obs, it never feeds back into the simulation
+	// (see attrib.go).
 	Ledger *ledger.Ledger
 	// SLO, when non-nil, receives per-pass SLO events (latency degradation
 	// vs the max-frequency reference, energy, violations) on the simulated
@@ -218,28 +219,37 @@ type Executor struct {
 	// Incompatible sinks (faults, obs, audit, thermal, the sample trace)
 	// demote the run to micro-stepping automatically.
 	Summaries *SummaryCache
+	// Grids, when non-nil, is a shared set of cost grids (grid.go) serving
+	// this executor's platform. Cluster runs hand one set to every node
+	// executor and dry-run probe, so each model is priced once per run. Nil —
+	// or a set serving another platform — keeps one private grid, rebuilt in
+	// place when the graph or batch changes. Results are identical either way.
+	Grids *CostGrids
 
 	thermal *hw.ThermalState
 
 	sensor *hw.PowerSensor
 
-	// Per-pass op cost scratch: layer FLOPs/bytes at the current batch size
-	// are batch-invariant across passes, so they are computed once per
-	// (graph, batch) instead of per image. The rebuild also derives the
-	// attribution constants for the graph: its canonical digest and the
-	// max-frequency GPU reference time one pass takes (the QoS baseline).
-	costGraph  *graph.Graph
-	costBatch  int
-	costs      []opWork
-	costRef    time.Duration
-	costDigest uint64
+	// Cost grid of the graph last micro-stepped: per-layer costs at every
+	// level, per-level idle and switch costs, the graph digest (the
+	// attribution key) and the max-frequency reference pass time (the QoS
+	// baseline). From reset on it is never nil; before the first micro-stepped
+	// pass it holds the per-level costs only, which are all idle gaps, host
+	// tails and switches read. gridGraph is the graph it was fetched for (a
+	// pointer memo; grids themselves are keyed by digest). own is the private
+	// single-slot grid used without a shared set.
+	grid      *CostGrid
+	gridGraph *graph.Graph
+	own       *CostGrid
 
 	// Attribution state (see attrib.go). passes/qosViolations are tracked on
-	// every run; the level slices only when attrib is set.
+	// every run; the level slices only when attrib is set. passCells is the
+	// current pass's ledger cells (reused across passes).
 	attrib        bool
 	blocks        BlockResolver
 	levelEnergy   []float64
 	levelTime     []time.Duration
+	passCells     []cellDelta
 	passes        int
 	qosViolations int
 
@@ -300,6 +310,12 @@ func (e *Executor) reset() {
 		e.sensor = hw.NewPowerSensor(e.SensorPeriod)
 	}
 	e.Ctl.Reset(e.Platform)
+	if e.grid == nil || e.grid.platform != e.Platform {
+		// Idle gaps and window ticks may switch levels before the first
+		// task: give them the platform's per-level costs.
+		e.own = buildCostGrid(e.own, e.Platform, nil, 0, 1)
+		e.grid, e.gridGraph = e.own, nil
+	}
 	// Wire the audit sink before the first GPULevel consultation below: a
 	// guard may already strike on it, and that intervention must be recorded.
 	e.auditReset()
@@ -472,7 +488,7 @@ func (e *Executor) applyLevel() {
 	// departing frequency.
 	from := e.gpuLevel
 	start := e.sensor.Now()
-	d, energy := e.Platform.SwitchCost(e.Platform.GPUFreqsHz[e.gpuLevel])
+	d, energy := e.grid.switchCost(e.gpuLevel)
 	power := energy / d.Seconds()
 	e.gpuLevel = want
 	e.switches++
@@ -531,7 +547,7 @@ func (e *Executor) applyLevelFaulty(want int) {
 	maxBackoff := 8 * backoff
 	for attempt := 0; ; attempt++ {
 		tr := e.Faults.Transition(e.gpuLevel, want)
-		d, energy := e.Platform.SwitchCost(e.Platform.GPUFreqsHz[e.gpuLevel])
+		d, energy := e.grid.switchCost(e.gpuLevel)
 		if tr.ExtraLatency > 0 {
 			d += tr.ExtraLatency
 			e.faultStats.DelayedTransitions++
@@ -567,8 +583,7 @@ func (e *Executor) applyLevelFaulty(want int) {
 		if e.Obs != nil {
 			e.mx.retries.Inc(e.ctlName)
 		}
-		idleW := e.Platform.GPUIdlePower(e.Platform.GPUFreqsHz[e.gpuLevel])
-		e.advance(backoff, idleW, false, false, 0)
+		e.advance(backoff, e.grid.idleW[e.gpuLevel], false, false, 0)
 		if backoff < maxBackoff {
 			backoff *= 2
 		}
@@ -599,28 +614,27 @@ func (e *Executor) runImage(g *graph.Graph) {
 	cpuRemaining := cpuT
 
 	// GPU pass, layer by layer, with the host rail active for the first
-	// cpuRemaining of it.
-	costs := e.opCosts(g, batch)
+	// cpuRemaining of it. A layer's cost is one grid index at the applied
+	// level. The pass's ledger cells are added up here and applied once at
+	// pass end; they are kept whether or not this executor carries a ledger
+	// while a pass is being recorded — the summary may later replay on one
+	// that does.
+	gr := e.gridFor(g, batch)
+	cells := e.passCells[:0]
+	keepCells := e.Ledger != nil || e.rec != nil
 	passStart := e.sensor.Now()
 	passEnergy := e.sensor.EnergyJ()
 	var gpuBusy time.Duration
-	for i := range costs {
-		w := &costs[i]
-		e.Ctl.BeforeLayer(g, w.id)
+	for id, input := range gr.input {
+		e.Ctl.BeforeLayer(g, id)
 		e.applyLevel()
-		if w.skip {
+		if input {
 			continue
 		}
-		f := p.GPUFreqsHz[e.gpuLevel]
-		c := p.GPUOpCost(w.flops, w.bytes, f)
+		c := &gr.cells[e.gpuLevel*gr.n+id]
 		gpuBusy += c.Time
-		if e.Ledger != nil {
-			e.recordSegment(g, w.id, c.Time, c.PowerW*c.Time.Seconds())
-		}
-		if e.rec != nil {
-			// Cell deltas are recorded whether or not this executor carries a
-			// ledger — the summary may later replay on one that does.
-			e.rec.noteSeg(g, w.id, c.Time, c.PowerW*c.Time.Seconds(), e.gpuLevel)
+		if keepCells {
+			cells = e.addCell(cells, g, id, c)
 		}
 		overlap := c.Time
 		if overlap > cpuRemaining {
@@ -636,49 +650,32 @@ func (e *Executor) runImage(g *graph.Graph) {
 	}
 	// Host-bound tail: the GPU waits for pre-processing to finish.
 	if cpuRemaining > 0 {
-		gpuIdleW := p.GPUIdlePower(p.GPUFreqsHz[e.gpuLevel])
-		e.advance(cpuRemaining, gpuIdleW+cpuPower, false, true, 0)
+		e.advance(cpuRemaining, gr.idleW[e.gpuLevel]+cpuPower, false, true, 0)
 	}
+	e.passCells = cells
 	e.images += batch
-	e.finishPass(g, passStart, passEnergy, gpuBusy)
+	e.finishPass(g, gr.digest, gr.ref, passStart, passEnergy, gpuBusy, cells)
 	if e.rec != nil {
-		e.finishRecording(batch, gpuBusy)
+		e.finishRecording(gr, gpuBusy, cells)
 	}
 }
 
-// opWork is one layer's precomputed pass cost: batched FLOPs and memory
-// traffic, plus the ID handed to the controller hook.
-type opWork struct {
-	id           int
-	flops, bytes int64
-	skip         bool // OpInput — hook fires, no GPU work
-}
-
-// opCosts returns the per-layer cost buffer for (g, batch), rebuilding it
-// only when either changes. BatchCost is pure, so the precomputed values are
-// exactly what the per-layer loop used to recompute every pass. The rebuild
-// also derives the graph's canonical digest (the attribution key) and the
-// max-frequency GPU reference pass time (the QoS violation baseline) — both
-// pure functions of (graph, batch, platform), so caching them alongside the
-// costs keeps the warm path allocation-free.
-func (e *Executor) opCosts(g *graph.Graph, batch int) []opWork {
-	if e.costGraph == g && e.costBatch == batch {
-		return e.costs
+// gridFor returns the cost grid of (g, batch) and makes it the executor's
+// current grid: the shared set's when one serves this platform, else the
+// private grid, rebuilt in place. Consecutive passes of one task hit the
+// pointer memo.
+func (e *Executor) gridFor(g *graph.Graph, batch int) *CostGrid {
+	if gr := e.grid; e.gridGraph == g && gr.batch == batch && gr.platform == e.Platform {
+		return gr
 	}
-	fmax := e.Platform.MaxGPUFreq()
-	ref := time.Duration(0)
-	costs := e.costs[:0]
-	for _, l := range g.Layers {
-		w := opWork{id: l.ID, skip: l.Kind == graph.OpInput}
-		if !w.skip {
-			w.flops, w.bytes = l.BatchCost(batch)
-			ref += e.Platform.GPUOpCost(w.flops, w.bytes, fmax).Time
-		}
-		costs = append(costs, w)
+	if e.Grids != nil && e.Grids.platform == e.Platform {
+		e.grid = e.Grids.Grid(g, batch)
+	} else {
+		e.own = buildCostGrid(e.own, e.Platform, g, graph.Digest(g), batch)
+		e.grid = e.own
 	}
-	e.costs, e.costGraph, e.costBatch = costs, g, batch
-	e.costRef, e.costDigest = ref, graph.Digest(g)
-	return costs
+	e.gridGraph = g
+	return e.grid
 }
 
 func clampCPU(p *hw.Platform, level int) int {
@@ -735,8 +732,7 @@ func (e *Executor) RunTaskFlow(tasks []Task, gap time.Duration) Result {
 // is one advance — no window ticks can change anything.
 func (e *Executor) idle(d time.Duration) {
 	if e.windowInert {
-		w := e.Platform.GPUIdlePower(e.Platform.GPUFreqsHz[e.gpuLevel])
-		e.advance(d, w, false, false, 0)
+		e.advance(d, e.grid.idleW[e.gpuLevel], false, false, 0)
 		return
 	}
 	for d > 0 {
@@ -744,8 +740,7 @@ func (e *Executor) idle(d time.Duration) {
 		if step > d {
 			step = d
 		}
-		w := e.Platform.GPUIdlePower(e.Platform.GPUFreqsHz[e.gpuLevel])
-		e.advance(step, w, false, false, 0)
+		e.advance(step, e.grid.idleW[e.gpuLevel], false, false, 0)
 		d -= step
 	}
 }

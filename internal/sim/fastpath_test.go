@@ -25,7 +25,7 @@ func TestRunTaskZeroAllocSteadyState(t *testing.T) {
 	e := NewExecutor(p, &fixedCtl{level: 3})
 	e.SensorPeriod = 0
 	g := models.AlexNet()
-	e.RunTask(g, 2) // warm: sensor, op cost buffer
+	e.RunTask(g, 2) // warm: sensor, cost grid
 
 	allocs := testing.AllocsPerRun(10, func() {
 		e.RunTask(g, 2)
@@ -115,10 +115,10 @@ func TestSensorReset(t *testing.T) {
 	}
 }
 
-// TestOpCostBufferTracksGraphAndBatch pins the per-run op cost scratch:
-// switching graphs or batch sizes must rebuild it, and results must equal a
-// fresh executor's.
-func TestOpCostBufferTracksGraphAndBatch(t *testing.T) {
+// TestPrivateGridTracksGraphAndBatch pins the executor's private single-slot
+// cost grid: switching graphs, batch sizes or platforms must rebuild it, and
+// results must equal a fresh executor's.
+func TestPrivateGridTracksGraphAndBatch(t *testing.T) {
 	p := hw.TX2()
 	g1 := models.AlexNet()
 	g2 := models.MustBuild("mobilenet_v3")
@@ -141,5 +141,14 @@ func TestOpCostBufferTracksGraphAndBatch(t *testing.T) {
 	freshB.Batch = 4
 	if want := freshB.RunTask(g2, 8); !sameResult(gotBatched, want) {
 		t.Fatalf("batch switch reused stale costs:\ngot  %+v\nwant %+v", gotBatched, want)
+	}
+
+	e.Platform = hw.AGX()
+	gotAGX := e.RunTask(g2, 8)
+	freshA := NewExecutor(e.Platform, &fixedCtl{level: 3})
+	freshA.SensorPeriod = 0
+	freshA.Batch = 4
+	if want := freshA.RunTask(g2, 8); !sameResult(gotAGX, want) {
+		t.Fatalf("platform switch reused stale costs:\ngot  %+v\nwant %+v", gotAGX, want)
 	}
 }

@@ -24,7 +24,6 @@ import (
 
 	"powerlens/internal/graph"
 	"powerlens/internal/hw"
-	"powerlens/internal/obs/ledger"
 )
 
 // MacroSteppable is implemented by controllers whose passes the executor may
@@ -79,22 +78,12 @@ type macroEvent struct {
 	cpuBusy bool
 }
 
-// cellDelta is one ledger cell's aggregated pass delta. Cell state is
-// integral (ops, duration, per-event-quantized nanojoules), so aggregation
-// is exact: applying the delta equals replaying the per-layer events.
-type cellDelta struct {
-	block    int32
-	level    int32
-	ops      uint64
-	busy     time.Duration
-	energyNJ uint64
-}
-
 // FlowSummary is one micro-stepped representative pass, replayable against
 // any executor state that matches its key (and, in windowed mode, leaves the
 // pass strictly inside the current window).
 type FlowSummary struct {
 	wall       time.Duration // whole-pass wall time
+	ref        time.Duration // max-frequency reference pass time (QoS baseline)
 	gpuBusy    time.Duration // GPU busy total (QoS verdict + window busy delta)
 	cpuBusy    time.Duration // host busy total (window busy delta)
 	exitGPU    int           // applied GPU level after the pass
@@ -102,7 +91,7 @@ type FlowSummary struct {
 	images     int           // images per pass (the batch size)
 	lastPowerW float64       // rail power over the final event (sensor carry)
 	events     []macroEvent
-	cells      []cellDelta
+	cells      []cellDelta // the pass's ledger cells (see attrib.go)
 }
 
 // Wall returns the pass's wall time (exported for diagnostics).
@@ -200,12 +189,11 @@ func (c *SummaryCache) Len() int {
 	return len(c.entries)
 }
 
-// macroRecorder captures one representative pass while it micro-steps.
+// macroRecorder captures one representative pass while it micro-steps. The
+// pass's ledger cells come from the step loop's own aggregation at pass end.
 type macroRecorder struct {
 	key        summaryKey
 	events     []macroEvent
-	cells      []cellDelta
-	blocks     BlockResolver // pass-level block mapping (plan-dependent, nil ok)
 	startNow   time.Duration
 	switches0  int
 	cpuBusy    time.Duration
@@ -228,28 +216,6 @@ func (r *macroRecorder) note(d time.Duration, powerW, computeUt float64, level i
 		r.cpuBusy += d
 	}
 	r.lastPowerW = powerW
-}
-
-// noteSeg aggregates one executed layer into the pass's cell deltas,
-// quantizing energy per event exactly as ledger.RecordSegment would.
-func (r *macroRecorder) noteSeg(g *graph.Graph, layerID int, busy time.Duration, energyJ float64, level int) {
-	block := 0
-	if r.blocks != nil {
-		block = r.blocks.BlockIndex(g, layerID)
-	}
-	b, l := int32(block), int32(level)
-	for i := range r.cells {
-		c := &r.cells[i]
-		if c.block == b && c.level == l {
-			c.ops++
-			c.busy += busy
-			c.energyNJ += ledger.Quantize(energyJ)
-			return
-		}
-	}
-	r.cells = append(r.cells, cellDelta{
-		block: b, level: l, ops: 1, busy: busy, energyNJ: ledger.Quantize(energyJ),
-	})
 }
 
 // macroReset derives the run's macro/window modes from the attached sinks.
@@ -279,15 +245,17 @@ func (e *Executor) macroReset() {
 // cached for the executor's current state. On a miss it claims the key and
 // records the micro-stepped pass that follows. Returns false to micro-step.
 func (e *Executor) fastForward(g *graph.Graph, batch int) bool {
-	digest, ok := e.macroCtl.MacroPlanDigest(g)
+	plan, ok := e.macroCtl.MacroPlanDigest(g)
 	if !ok {
 		return false // non-nominal controller state (e.g. guard on fallback)
 	}
-	e.opCosts(g, batch) // ensure costDigest (key) and costRef (QoS baseline)
+	// A replayed pass needs no cost grid: the key carries the graph digest
+	// and the summary the reference pass time.
+	digest := graph.Digest(g)
 	k := summaryKey{
 		platform: e.Platform,
-		graph:    e.costDigest,
-		plan:     digest,
+		graph:    digest,
+		plan:     plan,
 		batch:    batch,
 		entryGPU: e.gpuLevel,
 		cpu:      clampCPU(e.Platform, e.Ctl.CPULevel()),
@@ -295,10 +263,8 @@ func (e *Executor) fastForward(g *graph.Graph, batch int) bool {
 	s := e.Summaries.lookup(k)
 	if s == nil {
 		if e.Summaries.beginFill(k) {
-			br, _ := e.Ctl.(BlockResolver)
 			e.rec = &macroRecorder{
 				key:       k,
-				blocks:    br,
 				startNow:  e.sensor.Now(),
 				switches0: e.switches,
 			}
@@ -312,7 +278,7 @@ func (e *Executor) fastForward(g *graph.Graph, batch int) bool {
 		e.Summaries.noteDemoted()
 		return false
 	}
-	e.applySummary(g, s)
+	e.applySummary(g, digest, s)
 	return true
 }
 
@@ -323,20 +289,22 @@ func (e *Executor) abortRecording() {
 	e.rec = nil
 }
 
-// finishRecording publishes the just-micro-stepped pass as a summary.
-func (e *Executor) finishRecording(batch int, gpuBusy time.Duration) {
+// finishRecording publishes the just-micro-stepped pass, priced from gr, as
+// a summary, with a copy of the pass's ledger cells.
+func (e *Executor) finishRecording(gr *CostGrid, gpuBusy time.Duration, cells []cellDelta) {
 	r := e.rec
 	e.rec = nil
 	e.Summaries.commit(r.key, &FlowSummary{
 		wall:       e.sensor.Now() - r.startNow,
+		ref:        gr.ref,
 		gpuBusy:    gpuBusy,
 		cpuBusy:    r.cpuBusy,
 		exitGPU:    e.gpuLevel,
 		switches:   e.switches - r.switches0,
-		images:     batch,
+		images:     gr.batch,
 		lastPowerW: r.lastPowerW,
 		events:     r.events,
-		cells:      r.cells,
+		cells:      append([]cellDelta(nil), cells...),
 	})
 }
 
@@ -344,7 +312,7 @@ func (e *Executor) finishRecording(batch int, gpuBusy time.Duration) {
 // Float chains (sensor energy, window energy/compute, per-level energy) are
 // replayed per event with the exact increments micro-stepping would add —
 // bit-identical by construction; integer state is bulk-added.
-func (e *Executor) applySummary(g *graph.Graph, s *FlowSummary) {
+func (e *Executor) applySummary(g *graph.Graph, digest uint64, s *FlowSummary) {
 	passStart := e.sensor.Now()
 	passEnergy := e.sensor.EnergyJ()
 
@@ -376,19 +344,10 @@ func (e *Executor) applySummary(g *graph.Graph, s *FlowSummary) {
 	}
 	e.sensor.FastForward(s.wall, en, s.lastPowerW, e.Platform.GPUFreqsHz[s.exitGPU])
 
-	if e.Ledger != nil {
-		for i := range s.cells {
-			c := &s.cells[i]
-			e.Ledger.AddSegments(
-				ledger.Key{Model: e.costDigest, Block: c.block, Level: c.level},
-				g.Name, c.ops, c.busy, c.energyNJ)
-		}
-	}
-
 	e.gpuLevel = s.exitGPU
 	e.wantLevel = s.exitGPU
 	e.switches += s.switches
 	e.images += s.images
 	e.macroCtl.MacroAdvancePass(g, s.exitGPU)
-	e.finishPass(g, passStart, passEnergy, s.gpuBusy)
+	e.finishPass(g, digest, s.ref, passStart, passEnergy, s.gpuBusy, s.cells)
 }

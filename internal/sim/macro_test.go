@@ -201,7 +201,7 @@ func TestMacroWarmReplayZeroAlloc(t *testing.T) {
 	e := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5, inert: true})
 	e.SensorPeriod = 0
 	e.Summaries = NewSummaryCache()
-	e.RunTask(g, 4) // warm: summaries, sensor, cost buffer
+	e.RunTask(g, 4) // warm: summaries, sensor, cost grid
 
 	allocs := testing.AllocsPerRun(10, func() { e.RunTask(g, 4) })
 	if allocs != 0 {

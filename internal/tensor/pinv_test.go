@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -71,26 +72,116 @@ func TestPseudoInverseSingular(t *testing.T) {
 	}
 }
 
-func TestPseudoInversePenroseProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(5)
-		// Random PSD (possibly rank-deficient) matrix: X^T X with few rows.
-		rows := 1 + r.Intn(n+2)
-		x := randomMatrix(r, rows, n)
-		a := Mul(x.T(), x)
-		p := PseudoInverse(a)
-		if !Equalish(Mul(Mul(a, p), a), a, 1e-6) {
-			return false
-		}
-		if !Equalish(Mul(Mul(p, a), p), p, 1e-6) {
-			return false
-		}
-		// Symmetry of A·A+ (third Penrose condition for symmetric A).
-		ap := Mul(a, p)
-		return Equalish(ap, ap.T(), 1e-6)
+// penroseDraw builds the property test's input for a seed: a random PSD,
+// possibly rank-deficient, matrix XᵀX with few rows.
+func penroseDraw(seed int64) *Matrix {
+	r := rand.New(rand.NewSource(seed))
+	n := 2 + r.Intn(5)
+	rows := 1 + r.Intn(n+2)
+	x := randomMatrix(r, rows, n)
+	return Mul(x.T(), x)
+}
+
+// pinvCondition returns the condition number PseudoInverse works with: the
+// largest |eigenvalue| of a over the smallest one it inverts (those above
+// the 1e-10 relative cut). 1 for the zero matrix.
+func pinvCondition(a *Matrix) float64 {
+	vals, _ := JacobiEigen(a)
+	hi := 0.0
+	for _, v := range vals {
+		hi = math.Max(hi, math.Abs(v))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	lo := hi
+	for _, v := range vals {
+		if av := math.Abs(v); av > 1e-10*hi && av < lo {
+			lo = av
+		}
+	}
+	if lo == 0 {
+		return 1
+	}
+	return hi / lo
+}
+
+func maxAbsEntry(m *Matrix) float64 {
+	v := 0.0
+	for _, x := range m.Data {
+		v = math.Max(v, math.Abs(x))
+	}
+	return v
+}
+
+func maxAbsDiff(a, b *Matrix) float64 {
+	v := 0.0
+	for i := range a.Data {
+		v = math.Max(v, math.Abs(a.Data[i]-b.Data[i]))
+	}
+	return v
+}
+
+// The Penrose identities hold only to about ε·κ(A) relative to the entries
+// they compare, so each is bounded by max(penroseFloor,
+// penroseSlack·ε·κ·scale). The floor — the former absolute bound — covers
+// well-conditioned and rank-deficient draws, whose error does not shrink
+// with κ. A sweep of 800k draws chose the constants: errors reach 3.7e-8 at
+// κ < 1e4, 32·ε·κ·scale below κ = 1e5 and 0.96·ε·κ·scale above, while the κ
+// term stays under 5e-7 at κ ≤ 1e4, where the bound is therefore exactly
+// 1e-6. A further 1M draws all pass.
+const (
+	penroseFloor = 1e-6
+	penroseSlack = 8
+)
+
+// checkPenrose checks the three Penrose identities for a symmetric PSD
+// matrix and its pseudo-inverse: A·A⁺·A = A, A⁺·A·A⁺ = A⁺ and A·A⁺
+// symmetric. A⁺'s entries scale the second and third: the asymmetry of A·A⁺
+// is A's rounding residual carried through A⁺.
+func checkPenrose(a *Matrix) error {
+	p := PseudoInverse(a)
+	kappa := pinvCondition(a)
+	bound := func(scale float64) float64 {
+		return math.Max(penroseFloor, penroseSlack*0x1p-52*kappa*scale)
+	}
+	ap := Mul(a, p)
+	checks := []struct {
+		name       string
+		err, scale float64
+	}{
+		{"A·A⁺·A = A", maxAbsDiff(Mul(ap, a), a), maxAbsEntry(a)},
+		{"A⁺·A·A⁺ = A⁺", maxAbsDiff(Mul(Mul(p, a), p), p), maxAbsEntry(p)},
+		{"A·A⁺ symmetric", maxAbsDiff(ap, ap.T()), maxAbsEntry(p)},
+	}
+	for _, c := range checks {
+		b := bound(c.scale)
+		if kappa <= 1e4 && b > 1e-6 {
+			return fmt.Errorf("%s: bound %.3g at κ %.3g is looser than 1e-6", c.name, b, kappa)
+		}
+		if c.err > b {
+			return fmt.Errorf("%s: error %.3g exceeds bound %.3g (κ %.3g)", c.name, c.err, b, kappa)
+		}
+	}
+	return nil
+}
+
+func TestPseudoInversePenroseProperty(t *testing.T) {
+	// Draws that broke the former absolute 1e-6 bound: κ ≈ 1.8e6 with
+	// |A⁺·A·A⁺ − A⁺| = 1.35e-6, and κ ≈ 2.5e9 with entries of A⁺ near 1e8.
+	// The rank-deficient draw 37293 (κ = 3.6) needs the floor.
+	for _, tc := range []struct {
+		seed     int64
+		minKappa float64
+	}{{-397462271400454927, 1e6}, {44530, 1e9}, {37293, 1}} {
+		a := penroseDraw(tc.seed)
+		if k := pinvCondition(a); k < tc.minKappa {
+			t.Fatalf("seed %d: κ %.3g, want at least %.3g", tc.seed, k, tc.minKappa)
+		}
+		if err := checkPenrose(a); err != nil {
+			t.Fatalf("seed %d: %v", tc.seed, err)
+		}
+	}
+	f := func(seed int64) bool { return checkPenrose(penroseDraw(seed)) == nil }
+	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
 }
