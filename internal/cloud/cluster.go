@@ -263,12 +263,26 @@ type nodeState struct {
 // (dispatch.go) instead; results are deterministic for a fixed config at any
 // shard count, and Shards <= 1 is bit-identical to the single-queue
 // dispatcher.
+//
+// A job with a nil Graph, negative Images or a negative Arrival is rejected
+// with an error naming the job's index before anything is simulated; a job
+// of zero images is legal.
 func Run(cfg Config, jobs []Job) (Result, error) {
 	if cfg.Nodes < 1 {
 		return Result{}, fmt.Errorf("cloud: need at least one node, got %d", cfg.Nodes)
 	}
 	if cfg.Platform == nil || cfg.NewCtl == nil {
 		return Result{}, fmt.Errorf("cloud: platform and controller factory required")
+	}
+	for i, j := range jobs {
+		switch {
+		case j.Graph == nil:
+			return Result{}, fmt.Errorf("cloud: job %d: nil Graph", i)
+		case j.Images < 0:
+			return Result{}, fmt.Errorf("cloud: job %d: negative Images %d", i, j.Images)
+		case j.Arrival < 0:
+			return Result{}, fmt.Errorf("cloud: job %d: negative Arrival %v", i, j.Arrival)
+		}
 	}
 	if cfg.grids == nil {
 		cfg.grids = sim.NewCostGrids(cfg.Platform)

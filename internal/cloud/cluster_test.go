@@ -60,6 +60,41 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// Invalid jobs are rejected with an error naming the job and the field, on
+// both dispatchers and before any simulation; zero images stay legal.
+func TestRunRejectsInvalidJobs(t *testing.T) {
+	p := hw.TX2()
+	g := models.MustBuild("alexnet")
+	valid := Job{Graph: g, Images: 2, Arrival: time.Second}
+	for _, tc := range []struct {
+		name string
+		bad  Job
+		want string
+	}{
+		{"nil graph", Job{Images: 2, Arrival: time.Second}, "cloud: job 1: nil Graph"},
+		{"negative images", Job{Graph: g, Images: -3, Arrival: time.Second}, "cloud: job 1: negative Images -3"},
+		{"negative arrival", Job{Graph: g, Images: 2, Arrival: -time.Millisecond}, "cloud: job 1: negative Arrival -1ms"},
+	} {
+		for _, shards := range []int{1, 2} {
+			cfg := Config{Nodes: 2, Shards: shards, Platform: p, NewCtl: staticFactory(5)}
+			_, err := Run(cfg, []Job{valid, tc.bad, valid})
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s, %d shards: error %v, want %q", tc.name, shards, err, tc.want)
+			}
+		}
+	}
+	for _, shards := range []int{1, 2} {
+		cfg := Config{Nodes: 2, Shards: shards, Platform: p, NewCtl: staticFactory(5)}
+		res, err := Run(cfg, []Job{valid, {Graph: g, Images: 0, Arrival: 2 * time.Second}})
+		if err != nil {
+			t.Fatalf("%d shards: a zero-image job was rejected: %v", shards, err)
+		}
+		if res.TotalImages != 2 {
+			t.Fatalf("%d shards: %d images simulated, want 2", shards, res.TotalImages)
+		}
+	}
+}
+
 func TestMoreNodesShortenMakespan(t *testing.T) {
 	p := hw.TX2()
 	jobs := testJobs(16)

@@ -82,27 +82,38 @@ func (pv *PowerView) NumBlocks() int { return len(pv.Blocks) }
 // physically adjacent operators are considered"). We implement the stated
 // semantics, R[i,j] = 1 - exp(-λ|i-j|), which differs from the literal
 // formula only by the affine map R' = 1 - R (equivalently, a shift of ε).
+//
+// DNNs repeat layers, so most rows of x repeat too. A distance depends only
+// on the values of its two rows, so the quadratic forms run over the distinct
+// rows alone and every pair (i, j) reads its distance through the row →
+// distinct-row index. The result is bit-identical to the pairwise form over
+// all n rows: equal rows give an all-zero diff and so distance 0, the
+// distinct matrix's diagonal; a pair met in the opposite order of first
+// appearance is computed from the negated diff, and negation is exact under
+// round-to-nearest, so the quadratic form keeps its bits.
 func BlendedDistance(x *tensor.Matrix, alpha, lambda float64) *tensor.Matrix {
 	// Shrinkage regularization: near-duplicate operators make the covariance
 	// nearly singular, and a raw pseudo-inverse would amplify measurement
 	// noise along the near-zero-variance directions into spurious distance.
 	// Shrinking toward a scaled identity bounds that amplification — this is
 	// the "regularization" Algorithm 1 applies alongside the pseudo-inverse.
+	// The covariance is over every row: how often a layer repeats weights it.
 	const shrink = 0.05
 	cov := tensor.ShrunkCovariance(x, shrink)
 	prec := tensor.PseudoInverse(cov)
-	d := tensor.MahalanobisAll(x, prec)
+	u, idx := distinctRows(x)
+	d := tensor.MahalanobisAll(u, prec)
 
 	// Normalize the Mahalanobis term so ε is comparable across networks.
 	// MahalanobisAll is exactly symmetric with a zero diagonal, so scanning
 	// the strict upper triangle finds the same maximum at a third of the
-	// reads, and the blend below only needs each (i<j) pair once.
-	n := x.Rows
+	// reads, and the blend below only needs each (i<j) pair once. Pairs of
+	// equal rows add only zeros, so the distinct pairs hold the maximum.
 	maxD := 0.0
-	for i := 0; i < n; i++ {
-		row := d.Row(i)
-		for j := i + 1; j < n; j++ {
-			if v := row[j]; v > maxD {
+	for a := 0; a < u.Rows; a++ {
+		row := d.Row(a)
+		for b := a + 1; b < u.Rows; b++ {
+			if v := row[b]; v > maxD {
 				maxD = v
 			}
 		}
@@ -113,6 +124,7 @@ func BlendedDistance(x *tensor.Matrix, alpha, lambda float64) *tensor.Matrix {
 	}
 
 	// The spacing term depends only on |i-j|: one exp per offset, not per pair.
+	n := x.Rows
 	spacing := make([]float64, n)
 	for k := 1; k < n; k++ {
 		spacing[k] = 1 - math.Exp(-lambda*float64(k))
@@ -120,13 +132,70 @@ func BlendedDistance(x *tensor.Matrix, alpha, lambda float64) *tensor.Matrix {
 
 	out := tensor.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
+		di := d.Row(int(idx[i]))
 		for j := i + 1; j < n; j++ {
-			v := alpha*(d.At(i, j)*invD) + (1-alpha)*spacing[j-i]
+			v := alpha*(di[idx[j]]*invD) + (1-alpha)*spacing[j-i]
 			out.Set(i, j, v)
 			out.Set(j, i, v)
 		}
 	}
 	return out
+}
+
+// distinctRows returns the distinct rows of x, numbered in order of first
+// appearance, and the distinct-row index of every row of x. Rows are equal
+// when their bits are, so +0 and −0 make different rows. A map from row hash
+// to the newest distinct row with that hash, chained through next, keeps the
+// allocations per call constant.
+func distinctRows(x *tensor.Matrix) (*tensor.Matrix, []int32) {
+	n := x.Rows
+	u := tensor.NewMatrix(n, x.Cols) // rows [0, m) are the distinct rows
+	idx := make([]int32, n)
+	next := make([]int32, n) // next distinct row with the same hash, or -1
+	newest := make(map[uint64]int32, n)
+	m := 0
+	for i := 0; i < n; i++ {
+		r := x.Row(i)
+		h := rowHash(r)
+		head, ok := newest[h]
+		if !ok {
+			head = -1
+		}
+		id := head
+		for id >= 0 && !sameBits(u.Row(int(id)), r) {
+			id = next[id]
+		}
+		if id < 0 {
+			id = int32(m)
+			copy(u.Row(m), r)
+			next[m] = head
+			newest[h] = id
+			m++
+		}
+		idx[i] = id
+	}
+	u.Rows, u.Data = m, u.Data[:m*u.Cols]
+	return u, idx
+}
+
+// rowHash mixes the bits of a row's values into one word.
+func rowHash(r []float64) uint64 {
+	h := uint64(len(r))
+	for _, v := range r {
+		h = (h ^ math.Float64bits(v)) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
+}
+
+// sameBits reports whether two equal-length rows hold the same bits.
+func sameBits(a, b []float64) bool {
+	for k, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Cluster runs Algorithm 1 over a scaled depthwise feature matrix and

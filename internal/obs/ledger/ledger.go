@@ -103,9 +103,10 @@ func (l *Ledger) RecordSegment(k Key, name string, busy time.Duration, energyJ f
 
 // Quantize converts joules to the ledger's native nanojoule unit, exactly as
 // RecordSegment does per event. Exported for callers that aggregate segment
-// events outside the ledger (the executor's per-pass cells) and later apply
-// them through AddSegments: quantizing per event before summing keeps the
-// aggregate equal to what the per-event calls would have accumulated.
+// events outside the ledger (the sim cost grid quantizes each cell, and the
+// executor's per-pass cells add them up) and later apply them through
+// AddSegments: quantizing per event before summing keeps the aggregate equal
+// to what the per-event calls would have accumulated.
 func Quantize(energyJ float64) uint64 { return toNJ(energyJ) }
 
 // AddSegments attributes an aggregated batch of layer executions to a cell

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"powerlens/internal/graph"
-	"powerlens/internal/hw"
 	"powerlens/internal/obs/ledger"
 )
 
@@ -55,26 +54,26 @@ type cellDelta struct {
 	energyNJ uint64
 }
 
-// addCell adds one executed layer, costing c at the applied level, to the
-// pass's cells. Energy is quantized per layer, exactly as the ledger
-// quantizes a single segment. The scan starts at the newest cell: consecutive
-// layers usually share a block and a level.
-func (e *Executor) addCell(cells []cellDelta, g *graph.Graph, layerID int, c *hw.OpCost) []cellDelta {
+// addCell adds one executed layer, busy for busy and costing nj ledger
+// nanojoules at the applied level (CostGrid.cellNJ: energy quantized per
+// layer, exactly as the ledger quantizes a single segment), to the pass's
+// cells. The scan starts at the newest cell: consecutive layers usually share
+// a block and a level.
+func (e *Executor) addCell(cells []cellDelta, g *graph.Graph, layerID int, busy time.Duration, nj uint64) []cellDelta {
 	var block int32
 	if e.blocks != nil {
 		block = int32(e.blocks.BlockIndex(g, layerID))
 	}
 	level := int32(e.gpuLevel)
-	nj := ledger.Quantize(c.PowerW * c.Time.Seconds())
 	for i := len(cells) - 1; i >= 0; i-- {
 		if d := &cells[i]; d.block == block && d.level == level {
 			d.ops++
-			d.busy += c.Time
+			d.busy += busy
 			d.energyNJ += nj
 			return cells
 		}
 	}
-	return append(cells, cellDelta{block: block, level: level, ops: 1, busy: c.Time, energyNJ: nj})
+	return append(cells, cellDelta{block: block, level: level, ops: 1, busy: busy, energyNJ: nj})
 }
 
 // finishPass judges and records one completed inference pass of the graph

@@ -631,10 +631,11 @@ func (e *Executor) runImage(g *graph.Graph) {
 		if input {
 			continue
 		}
-		c := &gr.cells[e.gpuLevel*gr.n+id]
+		cell := e.gpuLevel*gr.n + id
+		c := &gr.cells[cell]
 		gpuBusy += c.Time
 		if keepCells {
-			cells = e.addCell(cells, g, id, c)
+			cells = e.addCell(cells, g, id, c.Time, gr.cellNJ[cell])
 		}
 		overlap := c.Time
 		if overlap > cpuRemaining {

@@ -6,6 +6,7 @@ import (
 
 	"powerlens/internal/graph"
 	"powerlens/internal/hw"
+	"powerlens/internal/obs/ledger"
 )
 
 // CostGrid is the immutable cost table of one (platform, graph, batch): the
@@ -32,6 +33,7 @@ type CostGrid struct {
 	n        int    // layers per level row
 
 	cells   []hw.OpCost   // [lvl*n + id]; OpInput layers hold the zero cost
+	cellNJ  []uint64      // [lvl*n + id]: each cell's energy in ledger nanojoules
 	input   []bool        // OpInput layers: the hook fires, no GPU work
 	ref     time.Duration // pass time at fmax: top-level times summed in layer order
 	idleW   []float64     // GPUIdlePower per level
@@ -67,6 +69,7 @@ func buildCostGrid(dst *CostGrid, p *hw.Platform, g *graph.Graph, digest uint64,
 		digest:   digest,
 		n:        n,
 		cells:    resize(gr.cells, levels*n),
+		cellNJ:   resize(gr.cellNJ, levels*n),
 		input:    resize(gr.input, n),
 		idleW:    resize(gr.idleW, levels),
 		switchJ:  resize(gr.switchJ, levels),
@@ -94,6 +97,11 @@ func buildCostGrid(dst *CostGrid, p *hw.Platform, g *graph.Graph, digest uint64,
 		for lvl, ft := range terms {
 			gr.cells[lvl*n+id] = p.GPUOpCostAt(ft, flops, bytes)
 		}
+	}
+	// Each cell's ledger energy, quantized per layer exactly as the ledger
+	// quantizes one segment, so a pass's ledger cells add integers.
+	for i, c := range gr.cells {
+		gr.cellNJ[i] = ledger.Quantize(c.PowerW * c.Time.Seconds())
 	}
 	if n > 0 && levels > 0 {
 		for _, c := range gr.row(levels - 1) {

@@ -23,9 +23,10 @@ func sameOpCost(a, b hw.OpCost) bool {
 }
 
 // TestCostGridMatchesDirectModel pins the grid's construction contract: every
-// cell, every per-level idle power and switch cost, the reference pass time
-// and the digest equal what the direct model calls return, bit for bit, on
-// both platforms, every evaluation model, and batches 1 and 4.
+// cell and its ledger nanojoules, every per-level idle power and switch cost,
+// the reference pass time and the digest equal what the direct model calls
+// return, bit for bit, on both platforms, every evaluation model, and batches
+// 1 and 4.
 func TestCostGridMatchesDirectModel(t *testing.T) {
 	for _, p := range hw.Platforms() {
 		fmax := p.MaxGPUFreq()
@@ -43,8 +44,8 @@ func TestCostGridMatchesDirectModel(t *testing.T) {
 							t.Fatalf("%s/%s: input layer %d not marked", p.Name, name, id)
 						}
 						for lvl := range p.GPUFreqsHz {
-							if c := gr.Cost(lvl, id); c != (hw.OpCost{}) {
-								t.Fatalf("%s/%s: input layer %d costs %+v at level %d", p.Name, name, id, c, lvl)
+							if c, nj := gr.Cost(lvl, id), gr.cellNJ[lvl*gr.n+id]; c != (hw.OpCost{}) || nj != 0 {
+								t.Fatalf("%s/%s: input layer %d costs %+v (%d nJ) at level %d", p.Name, name, id, c, nj, lvl)
 							}
 						}
 						continue
@@ -54,8 +55,12 @@ func TestCostGridMatchesDirectModel(t *testing.T) {
 					}
 					flops, bytes := l.BatchCost(batch)
 					for lvl, f := range p.GPUFreqsHz {
-						if got, want := gr.Cost(lvl, id), p.GPUOpCost(flops, bytes, f); !sameOpCost(got, want) {
+						want := p.GPUOpCost(flops, bytes, f)
+						if got := gr.Cost(lvl, id); !sameOpCost(got, want) {
 							t.Fatalf("%s/%s/b%d: layer %d level %d: grid %+v, GPUOpCost %+v", p.Name, name, batch, id, lvl, got, want)
+						}
+						if got, wantNJ := gr.cellNJ[lvl*gr.n+id], ledger.Quantize(want.PowerW*want.Time.Seconds()); got != wantNJ {
+							t.Fatalf("%s/%s/b%d: layer %d level %d: %d nJ, want %d", p.Name, name, batch, id, lvl, got, wantNJ)
 						}
 					}
 					ref += p.GPUOpCost(flops, bytes, fmax).Time
