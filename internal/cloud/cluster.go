@@ -266,13 +266,26 @@ type nodeState struct {
 //
 // A job with a nil Graph, negative Images or a negative Arrival is rejected
 // with an error naming the job's index before anything is simulated; a job
-// of zero images is legal.
+// of zero images is legal. A negative Batch, AdmitBatch or Shards, and a
+// fault schedule that hw.FaultConfig.Validate refuses, are rejected the same
+// way with an error naming the field; zero values keep their defaults.
 func Run(cfg Config, jobs []Job) (Result, error) {
 	if cfg.Nodes < 1 {
 		return Result{}, fmt.Errorf("cloud: need at least one node, got %d", cfg.Nodes)
 	}
 	if cfg.Platform == nil || cfg.NewCtl == nil {
 		return Result{}, fmt.Errorf("cloud: platform and controller factory required")
+	}
+	switch {
+	case cfg.Batch < 0:
+		return Result{}, fmt.Errorf("cloud: negative Batch %d", cfg.Batch)
+	case cfg.AdmitBatch < 0:
+		return Result{}, fmt.Errorf("cloud: negative AdmitBatch %d", cfg.AdmitBatch)
+	case cfg.Shards < 0:
+		return Result{}, fmt.Errorf("cloud: negative Shards %d", cfg.Shards)
+	}
+	if err := cfg.Faults.Validate(); err != nil {
+		return Result{}, fmt.Errorf("cloud: %w", err)
 	}
 	for i, j := range jobs {
 		switch {

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -92,6 +93,50 @@ func TestRunRejectsInvalidJobs(t *testing.T) {
 		if res.TotalImages != 2 {
 			t.Fatalf("%d shards: %d images simulated, want 2", shards, res.TotalImages)
 		}
+	}
+}
+
+// TestRunRejectsInvalidConfig pins that cluster and fault settings no run
+// can have are refused before anything is simulated, on both dispatchers,
+// with an error naming the field.
+func TestRunRejectsInvalidConfig(t *testing.T) {
+	p := hw.TX2()
+	jobs := testJobs(4)
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want string
+	}{
+		{"batch", func(c *Config) { c.Batch = -2 }, "cloud: negative Batch -2"},
+		{"admit batch", func(c *Config) { c.AdmitBatch = -5 }, "cloud: negative AdmitBatch -5"},
+		{"stuck", func(c *Config) { c.Faults.StuckProb = 1.5 }, "cloud: hw: fault StuckProb 1.5 outside [0, 1]"},
+		{"dropout", func(c *Config) { c.Faults.SensorDropoutProb = -0.2 },
+			"cloud: hw: fault SensorDropoutProb -0.2 outside [0, 1]"},
+		{"crash", func(c *Config) { c.Faults.NodeCrashProb = 2 }, "cloud: hw: fault NodeCrashProb 2 outside [0, 1]"},
+		{"clamp NaN", func(c *Config) { c.Faults.ClampProb = math.NaN() }, "cloud: hw: fault ClampProb NaN outside [0, 1]"},
+		{"noise", func(c *Config) { c.Faults.SensorNoiseFrac = -0.1 },
+			"cloud: hw: fault SensorNoiseFrac -0.1 is not a finite value >= 0"},
+		{"mtbf", func(c *Config) { c.Faults.NodeCrashMTBF = -time.Second }, "cloud: hw: negative fault NodeCrashMTBF -1s"},
+		{"delay", func(c *Config) { c.Faults.DelayLatency = -time.Millisecond },
+			"cloud: hw: negative fault DelayLatency -1ms"},
+	} {
+		for _, shards := range []int{1, 2} {
+			cfg := Config{Nodes: 2, Shards: shards, Platform: p, NewCtl: staticFactory(5)}
+			tc.set(&cfg)
+			if _, err := Run(cfg, jobs); err == nil || err.Error() != tc.want {
+				t.Errorf("%s, %d shards: error %v, want %q", tc.name, shards, err, tc.want)
+			}
+		}
+	}
+	cfg := Config{Nodes: 2, Shards: -3, Platform: p, NewCtl: staticFactory(5)}
+	if _, err := Run(cfg, jobs); err == nil || err.Error() != "cloud: negative Shards -3" {
+		t.Errorf("negative shards: error %v", err)
+	}
+	// The edges of each range are valid settings.
+	cfg = Config{Nodes: 2, Shards: 2, Platform: p, NewCtl: staticFactory(5),
+		Faults: hw.FaultConfig{Seed: 1, StuckProb: 1, SensorDropoutProb: 0, NodeCrashProb: 1}}
+	if _, err := Run(cfg, jobs); err != nil {
+		t.Errorf("valid edge settings rejected: %v", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package hw
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -41,6 +43,35 @@ type FaultConfig struct {
 	// distribution with mean NodeCrashMTBF.
 	NodeCrashProb float64
 	NodeCrashMTBF time.Duration
+}
+
+// Validate reports the first setting no fault schedule can have: a
+// probability outside [0, 1], a noise level that is negative or not finite,
+// or a negative DelayLatency or NodeCrashMTBF. The zero value is valid.
+func (c FaultConfig) Validate() error {
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"SensorDropoutProb", c.SensorDropoutProb},
+		{"StuckProb", c.StuckProb},
+		{"ClampProb", c.ClampProb},
+		{"DelayProb", c.DelayProb},
+		{"NodeCrashProb", c.NodeCrashProb},
+	} {
+		if !(p.v >= 0 && p.v <= 1) {
+			return fmt.Errorf("hw: fault %s %v outside [0, 1]", p.name, p.v)
+		}
+	}
+	switch {
+	case !(c.SensorNoiseFrac >= 0 && c.SensorNoiseFrac <= math.MaxFloat64):
+		return fmt.Errorf("hw: fault SensorNoiseFrac %v is not a finite value >= 0", c.SensorNoiseFrac)
+	case c.DelayLatency < 0:
+		return fmt.Errorf("hw: negative fault DelayLatency %v", c.DelayLatency)
+	case c.NodeCrashMTBF < 0:
+		return fmt.Errorf("hw: negative fault NodeCrashMTBF %v", c.NodeCrashMTBF)
+	}
+	return nil
 }
 
 // Enabled reports whether any executor-level fault can fire. Node-crash

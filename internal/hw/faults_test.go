@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -167,5 +168,38 @@ func TestFaultStatsAddTotal(t *testing.T) {
 	}
 	if got := a.Total(); got != 1+3+2+5+6 {
 		t.Fatalf("Total = %d", got)
+	}
+}
+
+// TestFaultConfigValidate pins the valid ranges: probabilities in [0, 1],
+// a finite non-negative noise level, non-negative durations.
+func TestFaultConfigValidate(t *testing.T) {
+	valid := []FaultConfig{
+		{},
+		{Seed: 3, SensorDropoutProb: 1, SensorNoiseFrac: 0.2, StuckProb: 1, ClampProb: 0.5,
+			DelayProb: 1, DelayLatency: time.Millisecond, NodeCrashProb: 1, NodeCrashMTBF: time.Second},
+	}
+	for _, c := range valid {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", c, err)
+		}
+	}
+	for _, tc := range []struct {
+		c    FaultConfig
+		want string
+	}{
+		{FaultConfig{SensorDropoutProb: -0.2}, "hw: fault SensorDropoutProb -0.2 outside [0, 1]"},
+		{FaultConfig{StuckProb: 1.5}, "hw: fault StuckProb 1.5 outside [0, 1]"},
+		{FaultConfig{ClampProb: math.NaN()}, "hw: fault ClampProb NaN outside [0, 1]"},
+		{FaultConfig{DelayProb: math.Inf(1)}, "hw: fault DelayProb +Inf outside [0, 1]"},
+		{FaultConfig{NodeCrashProb: 2}, "hw: fault NodeCrashProb 2 outside [0, 1]"},
+		{FaultConfig{SensorNoiseFrac: -1}, "hw: fault SensorNoiseFrac -1 is not a finite value >= 0"},
+		{FaultConfig{SensorNoiseFrac: math.Inf(1)}, "hw: fault SensorNoiseFrac +Inf is not a finite value >= 0"},
+		{FaultConfig{DelayLatency: -time.Millisecond}, "hw: negative fault DelayLatency -1ms"},
+		{FaultConfig{NodeCrashMTBF: -time.Second}, "hw: negative fault NodeCrashMTBF -1s"},
+	} {
+		if err := tc.c.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("%+v: error %v, want %q", tc.c, err, tc.want)
+		}
 	}
 }

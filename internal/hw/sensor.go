@@ -55,7 +55,10 @@ func (s *PowerSensor) Advance(d time.Duration, powerW, freqHz float64) {
 		panic("hw: PowerSensor.Advance with negative duration")
 	}
 	end := s.now + d
-	s.energyJ += powerW * d.Seconds()
+	// float64() rounds the product before the add, which forbids fusing the
+	// two (arm64 and others fuse x*y + z): macro replay adds recorded,
+	// rounded products and must land on the same bits.
+	s.energyJ += float64(powerW * d.Seconds())
 	if s.Period > 0 {
 		for s.nextTick <= end {
 			s.samples = append(s.samples, PowerSample{At: s.nextTick, PowerW: powerW, FreqHz: freqHz})

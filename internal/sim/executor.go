@@ -284,6 +284,10 @@ type Executor struct {
 	windowInert bool           // window segmentation skipped this run
 	macroOK     bool           // fast-forward eligible this run
 	rec         *macroRecorder // non-nil while recording a representative pass
+	memoKey     summaryKey     // key of the summary fastForward last resolved
+	memo        *FlowSummary   // that summary; nil until one resolves
+	hits        uint64         // cache hits this run
+	demoted     uint64         // boundary demotions this run
 }
 
 // defaultWindowPeriod is the governor sampling period of NewExecutor, and
@@ -347,6 +351,9 @@ func (e *Executor) reset() {
 // (macro.go) the window bookkeeping is skipped entirely: nothing consumes it
 // — OnWindow no-ops, ticks never change the applied level — and skipping it
 // makes the advance sequence of a pass independent of its window offset.
+// Products added into float accumulators are wrapped in float64() so that no
+// architecture fuses them into the add: macro replay adds the rounded
+// products the recorder stored.
 func (e *Executor) advance(d time.Duration, powerW float64, gpuBusy, cpuBusy bool, computeUt float64) {
 	if e.rec != nil {
 		e.rec.note(d, powerW, computeUt, e.gpuLevel, gpuBusy, cpuBusy)
@@ -354,7 +361,7 @@ func (e *Executor) advance(d time.Duration, powerW float64, gpuBusy, cpuBusy boo
 	if e.windowInert {
 		e.sensor.Advance(d, powerW, e.Platform.GPUFreqsHz[e.gpuLevel])
 		if e.attrib {
-			e.levelEnergy[e.gpuLevel] += powerW * d.Seconds()
+			e.levelEnergy[e.gpuLevel] += float64(powerW * d.Seconds())
 			e.levelTime[e.gpuLevel] += d
 		}
 		return
@@ -373,14 +380,14 @@ func (e *Executor) advance(d time.Duration, powerW float64, gpuBusy, cpuBusy boo
 		e.winElapsed += step
 		if gpuBusy {
 			e.winGPUBusy += step
-			e.winCompute += computeUt * step.Seconds()
+			e.winCompute += float64(computeUt * step.Seconds())
 		}
 		if cpuBusy {
 			e.winCPUBusy += step
 		}
-		e.winEnergy += powerW * step.Seconds()
+		e.winEnergy += float64(powerW * step.Seconds())
 		if e.attrib {
-			e.levelEnergy[e.gpuLevel] += powerW * step.Seconds()
+			e.levelEnergy[e.gpuLevel] += float64(powerW * step.Seconds())
 			e.levelTime[e.gpuLevel] += step
 		}
 		d -= step
@@ -768,5 +775,6 @@ func (e *Executor) result() Result {
 		r.LevelTime = append([]time.Duration(nil), e.levelTime...)
 	}
 	e.obsResult(r)
+	e.macroResult()
 	return r
 }

@@ -14,12 +14,16 @@
 // into single adds; instead the summary stores the exact per-advance
 // increments (powerW×dt products, quantized ledger nanojoules) and replays
 // them in order against the same accumulators. Integer state (durations, op
-// counts) is associative and is bulk-added. See DESIGN.md §16 for the
-// determinism proof sketch and the demotion rules.
+// counts) is associative and is bulk-added. The hot shape's one float chain,
+// the sensor energy, is replayed in one integer add on the float's bit
+// pattern wherever that provably lands on the sweep's bits (closedForm). See
+// DESIGN.md §16 for the determinism proof sketch and the demotion rules.
 package sim
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"powerlens/internal/graph"
@@ -92,12 +96,115 @@ type FlowSummary struct {
 	lastPowerW float64       // rail power over the final event (sensor carry)
 	events     []macroEvent
 	cells      []cellDelta // the pass's ledger cells (see attrib.go)
+
+	// Closed-form sensor replay (closedForm): ulps[i] is the number of ulps
+	// the events add to any energy whose biased exponent is ulpLo+i, or
+	// noUlps where that number depends on more than the binade. From
+	// ulpLo+len(ulps) up the events add nothing. ulpLo is 0 when the events
+	// admit no table.
+	ulpLo uint64
+	ulps  []uint64
+}
+
+// noUlps marks a binade the closed form cannot answer for.
+const noUlps = math.MaxUint64
+
+// ulpTable builds a summary's closed-form table from its event list: one
+// entry per binade, from one above the pass total's (a start below that
+// always leaves its binade) to the first in which every increment is below
+// half an ulp. No table when an increment is negative, NaN or infinite, or
+// when that range is empty (a total of 2^53 increments or more).
+func ulpTable(events []macroEvent) (lo uint64, ulps []uint64) {
+	var total, maxInc float64
+	for i := range events {
+		x := events[i].eInc
+		if !(x >= 0 && x <= math.MaxFloat64) {
+			return 0, nil
+		}
+		total += x
+		if x > maxInc {
+			maxInc = x
+		}
+	}
+	lo = math.Float64bits(total)>>52 + 1
+	// 2^(E−1076), half an ulp at biased exponent E, exceeds maxInc from
+	// E = exponent(maxInc) + 54 on.
+	top := math.Float64bits(maxInc)>>52 + 54
+	if top > 2047 {
+		top = 2047
+	}
+	if lo >= top {
+		return 0, nil
+	}
+	ulps = make([]uint64, top-lo)
+	for i := range ulps {
+		ulps[i] = binadeUlps(events, lo+uint64(i))
+	}
+	return lo, ulps
+}
+
+// binadeUlps returns Σ rne(eInc/u), the ulps the events add to an energy in
+// the binade [2^K, 2^(K+1)) of biased exponent exp, with u = 2^(K−52). It
+// returns noUlps when the sum could depend on the energy's own bits: an
+// increment of 2^K or more, an increment that is a rounding tie at u (ties
+// go to even, which reads the energy's last bit), or a sum of 2^52 ulps or
+// more, which always leaves the binade.
+func binadeUlps(events []macroEvent, exp uint64) uint64 {
+	pb := exp << 52
+	p := math.Float64frombits(pb) // 2^K
+	u := p * 0x1p-52
+	var m uint64
+	for i := range events {
+		x := events[i].eInc
+		if x >= p {
+			return noUlps
+		}
+		// Fast2Sum: with x < p, q−p is x rounded to a multiple of u and
+		// x−(q−p) is exact, so a tie shows as a remainder of exactly u/2.
+		q := p + x
+		if r := x - (q - p); r+r == u || r+r == -u {
+			return noUlps
+		}
+		m += math.Float64bits(q) - pb
+		if m >= 1<<52 {
+			return noUlps
+		}
+	}
+	return m
+}
+
+// closedForm returns the energy the event sweep reaches from en as one
+// integer add on en's bit pattern. In en's binade floats are u apart with
+// consecutive bit patterns, so without ties each step adds rne(eInc/u) to
+// the pattern for as long as the sum stays in the binade; increments are
+// non-negative, so it stayed there iff the final pattern keeps en's
+// exponent. ok is false — sweep instead — for a zero, subnormal, negative
+// or non-finite en, a binade below the table or marked noUlps, or a sum
+// that would leave the binade.
+func (s *FlowSummary) closedForm(en float64) (float64, bool) {
+	b := math.Float64bits(en)
+	exp := b >> 52 // 2048 and up when the sign bit is set
+	if s.ulpLo == 0 || exp == 0 || exp >= 2047 || exp < s.ulpLo {
+		return 0, false
+	}
+	i := exp - s.ulpLo
+	if i >= uint64(len(s.ulps)) {
+		return en, true
+	}
+	m := s.ulps[i]
+	if m == noUlps || (b+m)>>52 != exp {
+		return 0, false
+	}
+	return math.Float64frombits(b + m), true
 }
 
 // Wall returns the pass's wall time (exported for diagnostics).
 func (s *FlowSummary) Wall() time.Duration { return s.wall }
 
-// SummaryCacheStats reports cache effectiveness counters.
+// SummaryCacheStats reports cache effectiveness counters. Executors count
+// their hits and boundary demotions privately and add them when each run
+// ends, so after a run Hits+Misses is the number of fast-forward attempts;
+// during a run the counts lag.
 type SummaryCacheStats struct {
 	Hits    uint64 // passes fast-forwarded from a cached summary
 	Misses  uint64 // lookups that found no summary (micro-stepped)
@@ -111,51 +218,52 @@ type SummaryCacheStats struct {
 // every node executor and every dry-run prober. Fills are single-flight —
 // the first executor to miss a key records it, concurrent missers just
 // micro-step — so a thundering herd never records the same pass twice.
+// Lookups take no lock: commit replaces the committed map whole, which
+// stays cheap because a run commits a few dozen summaries.
 type SummaryCache struct {
+	entries atomic.Pointer[map[summaryKey]*FlowSummary]
 	mu      sync.Mutex
-	entries map[summaryKey]*FlowSummary
 	filling map[summaryKey]bool
 	stats   SummaryCacheStats
 }
 
 // NewSummaryCache returns an empty cache.
 func NewSummaryCache() *SummaryCache {
-	return &SummaryCache{
-		entries: map[summaryKey]*FlowSummary{},
-		filling: map[summaryKey]bool{},
-	}
+	c := &SummaryCache{filling: map[summaryKey]bool{}}
+	c.entries.Store(&map[summaryKey]*FlowSummary{})
+	return c
 }
 
-// lookup returns the committed summary for k, or nil. Counts a hit or miss.
+// lookup returns the committed summary for k, or nil.
 func (c *SummaryCache) lookup(k summaryKey) *FlowSummary {
-	c.mu.Lock()
-	s := c.entries[k]
-	if s != nil {
-		c.stats.Hits++
-	} else {
-		c.stats.Misses++
-	}
-	c.mu.Unlock()
-	return s
+	return (*c.entries.Load())[k]
 }
 
-// beginFill claims k for recording. False when a summary already exists or
-// another executor is mid-recording (single-flight).
+// beginFill counts a miss and claims k for recording. False when a summary
+// already exists or another executor is mid-recording (single-flight).
 func (c *SummaryCache) beginFill(k summaryKey) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.entries[k] != nil || c.filling[k] {
+	c.stats.Misses++
+	if c.lookup(k) != nil || c.filling[k] {
 		return false
 	}
 	c.filling[k] = true
 	return true
 }
 
-// commit publishes a recorded summary and releases the fill claim.
+// commit publishes a recorded summary in a copy of the committed map and
+// releases the fill claim.
 func (c *SummaryCache) commit(k summaryKey, s *FlowSummary) {
 	c.mu.Lock()
+	old := *c.entries.Load()
+	m := make(map[summaryKey]*FlowSummary, len(old)+1)
+	for key, sum := range old {
+		m[key] = sum
+	}
+	m[k] = s
+	c.entries.Store(&m)
 	delete(c.filling, k)
-	c.entries[k] = s
 	c.stats.Fills++
 	c.mu.Unlock()
 }
@@ -169,9 +277,11 @@ func (c *SummaryCache) abortFill(k summaryKey) {
 	c.mu.Unlock()
 }
 
-func (c *SummaryCache) noteDemoted() {
+// addRunCounts adds one run's privately counted hits and demotions.
+func (c *SummaryCache) addRunCounts(hits, demoted uint64) {
 	c.mu.Lock()
-	c.stats.Demoted++
+	c.stats.Hits += hits
+	c.stats.Demoted += demoted
 	c.mu.Unlock()
 }
 
@@ -184,9 +294,7 @@ func (c *SummaryCache) Stats() SummaryCacheStats {
 
 // Len returns the number of committed summaries.
 func (c *SummaryCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+	return len(*c.entries.Load())
 }
 
 // macroRecorder captures one representative pass while it micro-steps. The
@@ -222,6 +330,9 @@ func (r *macroRecorder) note(d time.Duration, powerW, computeUt float64, level i
 // Called from reset after thermal state is up.
 func (e *Executor) macroReset() {
 	e.rec = nil
+	// The cache may have been swapped since the last run.
+	e.memoKey, e.memo = summaryKey{}, nil
+	e.hits, e.demoted = 0, 0
 	e.macroCtl, _ = e.Ctl.(MacroSteppable)
 	// Window-inert mode: with a plan controller and nothing observing the
 	// window structure, window segmentation is pure bookkeeping — OnWindow
@@ -260,22 +371,29 @@ func (e *Executor) fastForward(g *graph.Graph, batch int) bool {
 		entryGPU: e.gpuLevel,
 		cpu:      clampCPU(e.Platform, e.Ctl.CPULevel()),
 	}
-	s := e.Summaries.lookup(k)
-	if s == nil {
-		if e.Summaries.beginFill(k) {
-			e.rec = &macroRecorder{
-				key:       k,
-				startNow:  e.sensor.Now(),
-				switches0: e.switches,
+	// Consecutive passes of a task share a key. A committed summary is
+	// never replaced (beginFill refuses a key that has one), so the memo
+	// cannot go stale.
+	s := e.memo
+	if s == nil || k != e.memoKey {
+		if s = e.Summaries.lookup(k); s == nil {
+			if e.Summaries.beginFill(k) {
+				e.rec = &macroRecorder{
+					key:       k,
+					startNow:  e.sensor.Now(),
+					switches0: e.switches,
+				}
 			}
+			return false
 		}
-		return false
+		e.memoKey, e.memo = k, s
 	}
+	e.hits++
 	// Windowed mode (e.g. a guard wrapping the plan): a pass that would
 	// reach or cross the window boundary must micro-step so the tick fires
 	// at the exact simulated instant.
 	if !e.windowInert && e.winElapsed+s.wall >= e.window {
-		e.Summaries.noteDemoted()
+		e.demoted++
 		return false
 	}
 	e.applySummary(g, digest, s)
@@ -290,10 +408,12 @@ func (e *Executor) abortRecording() {
 }
 
 // finishRecording publishes the just-micro-stepped pass, priced from gr, as
-// a summary, with a copy of the pass's ledger cells.
+// a summary, with a copy of the pass's ledger cells and its closed-form
+// table, built here so that the summary is immutable once shared.
 func (e *Executor) finishRecording(gr *CostGrid, gpuBusy time.Duration, cells []cellDelta) {
 	r := e.rec
 	e.rec = nil
+	lo, ulps := ulpTable(r.events)
 	e.Summaries.commit(r.key, &FlowSummary{
 		wall:       e.sensor.Now() - r.startNow,
 		ref:        gr.ref,
@@ -305,23 +425,39 @@ func (e *Executor) finishRecording(gr *CostGrid, gpuBusy time.Duration, cells []
 		lastPowerW: r.lastPowerW,
 		events:     r.events,
 		cells:      append([]cellDelta(nil), cells...),
+		ulpLo:      lo,
+		ulps:       ulps,
 	})
+}
+
+// macroResult adds the run's privately counted hits and boundary demotions
+// to the cache's stats, once, as the run returns.
+func (e *Executor) macroResult() {
+	if e.hits != 0 || e.demoted != 0 {
+		e.Summaries.addRunCounts(e.hits, e.demoted)
+		e.hits, e.demoted = 0, 0
+	}
 }
 
 // applySummary replays one cached pass against the executor's accumulators.
 // Float chains (sensor energy, window energy/compute, per-level energy) are
 // replayed per event with the exact increments micro-stepping would add —
-// bit-identical by construction; integer state is bulk-added.
+// bit-identical by construction — except that the hot shape's sensor energy
+// takes the closed form when it can answer; integer state is bulk-added.
 func (e *Executor) applySummary(g *graph.Graph, digest uint64, s *FlowSummary) {
 	passStart := e.sensor.Now()
 	passEnergy := e.sensor.EnergyJ()
 
 	en := passEnergy
 	if e.windowInert && !e.attrib {
-		// Hot serving shape (plan controller, no attribution): the replay is
-		// a single float-accumulation sweep.
-		for i := range s.events {
-			en += s.events[i].eInc
+		// Hot serving shape (plan controller, no attribution): the sensor
+		// energy is the only float chain, replayed in closed form or swept.
+		if v, ok := s.closedForm(en); ok {
+			en = v
+		} else {
+			for i := range s.events {
+				en += s.events[i].eInc
+			}
 		}
 	} else {
 		for i := range s.events {
