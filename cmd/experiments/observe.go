@@ -47,8 +47,10 @@ func parseObserveFlags(args []string) (observeFlags, error) {
 	fs.StringVar(&o.serve, "serve", "", "serve live telemetry on this address (e.g. :8080; empty = off)")
 	fs.DurationVar(&o.serveFor, "serve-for", 0, "with -serve: keep serving this long after the run (0 = until interrupted)")
 	fs.StringVar(&o.runDir, "run-dir", "", "record manifest + artifacts in this run-provenance store (empty = off)")
-	err := fs.Parse(args)
-	return o, err
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	return o, positiveCounts(fs, "tasks", "nodes", "jobs")
 }
 
 // runObserve executes the fully instrumented scenario on TX2 and exports the

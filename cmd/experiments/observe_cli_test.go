@@ -77,6 +77,36 @@ func TestParseResilienceFlags(t *testing.T) {
 	}
 }
 
+// TestScenarioFlagsRejectNonPositiveCounts pins the scenario CLIs' count
+// validation: a -tasks, -nodes or -jobs of zero or less is an error naming
+// the flag (the commands exit 2 on it), and the smallest positive count
+// parses.
+func TestScenarioFlagsRejectNonPositiveCounts(t *testing.T) {
+	parsers := map[string]struct {
+		parse func([]string) error
+		flags []string
+	}{
+		"observe": {func(a []string) error { _, err := parseObserveFlags(a); return err }, []string{"tasks", "nodes", "jobs"}},
+		"resilience": {func(a []string) error { _, err := parseResilienceFlags(a); return err },
+			[]string{"tasks", "nodes", "jobs"}},
+		"slo": {func(a []string) error { _, err := parseSLOFlags(a); return err }, []string{"tasks"}},
+	}
+	for cmd, p := range parsers {
+		for _, name := range p.flags {
+			for _, v := range []string{"0", "-3"} {
+				err := p.parse([]string{"-" + name, v})
+				want := "-" + name + " must be positive, got " + v
+				if err == nil || err.Error() != want {
+					t.Errorf("%s -%s %s: error %v, want %q", cmd, name, v, err, want)
+				}
+			}
+			if err := p.parse([]string{"-" + name, "1"}); err != nil {
+				t.Errorf("%s -%s 1: %v", cmd, name, err)
+			}
+		}
+	}
+}
+
 // exportTestObserver builds a small observer with one counter and one span.
 func exportTestObserver() (*obs.Observer, []obs.Event) {
 	o := obs.New()

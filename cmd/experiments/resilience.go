@@ -40,8 +40,10 @@ func parseResilienceFlags(args []string) (resilienceFlags, error) {
 	fs.StringVar(&o.serve, "serve", "", "serve live telemetry on this address (e.g. :8080; empty = off)")
 	fs.DurationVar(&o.serveFor, "serve-for", 0, "with -serve: keep serving this long after the runs (0 = until interrupted)")
 	fs.StringVar(&o.runDir, "run-dir", "", "record per-platform manifests + artifacts in this run-provenance store (empty = off)")
-	err := fs.Parse(args)
-	return o, err
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	return o, positiveCounts(fs, "tasks", "nodes", "jobs")
 }
 
 // observed reports whether any flag requests the instrumented variant.

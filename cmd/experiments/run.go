@@ -51,6 +51,21 @@ func fail(err error) {
 	os.Exit(1)
 }
 
+// positiveCounts checks that each named int flag of fs is positive. The
+// scenario libraries read a zero count as "use the default", so on the
+// command line a count of zero or less is a mistake; it is reported like a
+// flag error, on the flag set's output, naming the flag.
+func positiveCounts(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v <= 0 {
+			err := fmt.Errorf("-%s must be positive, got %d", name, v)
+			fmt.Fprintln(fs.Output(), err)
+			return err
+		}
+	}
+	return nil
+}
+
 // runAll deploys once and regenerates every table and figure.
 func runAll(args []string) {
 	n, seed, _ := expFlags(args)

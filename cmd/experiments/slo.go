@@ -44,8 +44,10 @@ func parseSLOFlags(args []string) (sloFlags, error) {
 	fs.StringVar(&o.serve, "serve", "", "serve live telemetry on this address (e.g. :8080; empty = off)")
 	fs.DurationVar(&o.serveFor, "serve-for", 0, "with -serve: keep serving this long after the run (0 = until interrupted)")
 	fs.StringVar(&o.runDir, "run-dir", "", "record manifest + artifacts in this run-provenance store (empty = off)")
-	err := fs.Parse(args)
-	return o, err
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	return o, positiveCounts(fs, "tasks")
 }
 
 // runSLO executes the attributed scenario on TX2: a guarded MultiPlan task

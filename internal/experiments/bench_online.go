@@ -65,7 +65,9 @@ func onlineBench(opt BenchOptions, add func(group, name string, value float64, u
 
 	// Steady-state executor stepping allocations with tracing off. The first
 	// run warms the per-run scratch (sensor, cost grid, compiled plan
-	// schedule); after that the serving loop must not touch the heap.
+	// schedule); after that the serving loop must not touch the heap. Counted
+	// as testing.AllocsPerRun counts: on one P, in whole allocations per run,
+	// so a stray allocation elsewhere in the process floors away.
 	a, err := fw.Analyze(g)
 	if err != nil {
 		panic(err)
@@ -78,6 +80,7 @@ func onlineBench(opt BenchOptions, add func(group, name string, value float64, u
 	if opt.Smoke {
 		runs = 3
 	}
+	procs := runtime.GOMAXPROCS(1)
 	e.RunTask(g, images) // warm-up run
 	var ms1, ms2 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
@@ -85,9 +88,10 @@ func onlineBench(opt BenchOptions, add func(group, name string, value float64, u
 		e.RunTask(g, images)
 	}
 	runtime.ReadMemStats(&ms2)
-	steps := runs * images * len(g.Layers)
+	runtime.GOMAXPROCS(procs)
+	perRun := (ms2.Mallocs - ms1.Mallocs) / uint64(runs)
 	add("online", "executor_step_allocs",
-		float64(ms2.Mallocs-ms1.Mallocs)/float64(steps), "allocs/step", 0.50, false)
+		float64(perRun)/float64(images*len(g.Layers)), "allocs/step", 0.50, false)
 
 	// Sharded dispatch throughput: a seeded job trace through the
 	// work-stealing dispatcher, end to end (dispatch + node simulation).

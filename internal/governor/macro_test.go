@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"powerlens/internal/graph"
 	"powerlens/internal/hw"
 	"powerlens/internal/models"
 	"powerlens/internal/sim"
@@ -157,5 +158,49 @@ func TestPowerLensMacroRunTaskZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() { e.RunTask(g, 4) })
 	if allocs != 0 {
 		t.Fatalf("warm macro PowerLens RunTask allocated %.0f times per run, want 0", allocs)
+	}
+}
+
+// TestMacroAdvancePassIdempotent pins the MacroSteppable contract the
+// executor's whole-task fold rests on: a second MacroAdvancePass with the
+// same (graph, exit level) leaves the controller unchanged. Two controllers
+// step the same micro-stepped pass; one then advances once, the other twice,
+// and they must stay deeply equal — for the planned graph, for a graph no
+// plan covers, and with a Guard around the plan.
+func TestMacroAdvancePassIdempotent(t *testing.T) {
+	p := hw.TX2()
+	g := models.AlexNet()
+	other := models.MustBuild("mobilenet_v3")
+	mid := len(g.Layers) / 2
+	plan := &FrequencyPlan{Model: g.Name, Points: map[int]int{0: 2, mid: 6}}
+	plans := map[string]*FrequencyPlan{g.Name: plan}
+	for _, tc := range []struct {
+		name string
+		new  func() sim.MacroSteppable
+	}{
+		{"PowerLens", func() sim.MacroSteppable { return NewPowerLens(plan) }},
+		{"MultiPlan", func() sim.MacroSteppable { return NewMultiPlan(plans) }},
+		{"Guard(MultiPlan)", func() sim.MacroSteppable { return NewGuard(NewMultiPlan(plans)) }},
+	} {
+		for _, gr := range []*graph.Graph{g, other} {
+			once, twice := tc.new(), tc.new()
+			for _, c := range []sim.MacroSteppable{once, twice} {
+				c.Reset(p)
+				for id := range gr.Layers {
+					c.BeforeLayer(gr, id)
+				}
+			}
+			exit := once.GPULevel()
+			once.MacroAdvancePass(gr, exit)
+			twice.MacroAdvancePass(gr, exit)
+			twice.MacroAdvancePass(gr, exit)
+			if !reflect.DeepEqual(once, twice) {
+				t.Fatalf("%s on %s: a second MacroAdvancePass changed the controller:\nonce  %+v\ntwice %+v",
+					tc.name, gr.Name, once, twice)
+			}
+			if got := twice.GPULevel(); got != exit {
+				t.Fatalf("%s on %s: level %d after advancing to exit level %d", tc.name, gr.Name, got, exit)
+			}
+		}
 	}
 }

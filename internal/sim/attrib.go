@@ -76,6 +76,21 @@ func (e *Executor) addCell(cells []cellDelta, g *graph.Graph, layerID int, busy 
 	return append(cells, cellDelta{block: block, level: level, ops: 1, busy: busy, energyNJ: nj})
 }
 
+// violates is the QoS verdict on a pass busy on the GPU for gpuBusy: it
+// violates when gpuBusy exceeds ref, the max-frequency reference pass time
+// (CostGrid.ref), by more than the QoS budget. Without a reference no pass
+// violates.
+func (e *Executor) violates(ref, gpuBusy time.Duration) bool {
+	if ref <= 0 {
+		return false
+	}
+	budget := e.QoSBudget
+	if budget <= 0 {
+		budget = DefaultQoSBudget
+	}
+	return gpuBusy > ref+time.Duration(float64(ref)*budget)
+}
+
 // finishPass judges and records one completed inference pass of the graph
 // with the given digest, micro-stepped or replayed, and applies its ledger
 // cells. The violation verdict compares the pass's GPU busy time against ref,
@@ -84,14 +99,7 @@ func (e *Executor) addCell(cells []cellDelta, g *graph.Graph, layerID int, busy 
 // tracker record.
 func (e *Executor) finishPass(g *graph.Graph, digest uint64, ref time.Duration, passStart time.Duration, passEnergyJ float64, gpuBusy time.Duration, cells []cellDelta) {
 	e.passes++
-	violated := false
-	if ref > 0 {
-		budget := e.QoSBudget
-		if budget <= 0 {
-			budget = DefaultQoSBudget
-		}
-		violated = gpuBusy > ref+time.Duration(float64(ref)*budget)
-	}
+	violated := e.violates(ref, gpuBusy)
 	if violated {
 		e.qosViolations++
 	}

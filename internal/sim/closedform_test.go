@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -96,8 +97,16 @@ func recordedSummaries(t *testing.T) []*FlowSummary {
 			e.Batch = batch
 			e.Summaries = cache
 			e.RunTask(g, 3*batch)
-			for _, s := range *cache.entries.Load() {
-				out = append(out, s)
+			// In key order, so that tests drawing random starts per
+			// summary are reproducible.
+			entries := *cache.entries.Load()
+			keys := make([]summaryKey, 0, len(entries))
+			for k := range entries {
+				keys = append(keys, k)
+			}
+			sort.Slice(keys, func(i, j int) bool { return keys[i].entryGPU < keys[j].entryGPU })
+			for _, k := range keys {
+				out = append(out, entries[k])
 			}
 		}
 	}

@@ -708,7 +708,8 @@ func (e *Executor) RunTask(g *graph.Graph, images int) Result {
 // runImages processes at least the given number of images in batched passes.
 // With macro-stepping eligible (macro.go), each pass first tries the
 // analytic fast-forward; misses micro-step (recording a representative pass)
-// and boundary/demotion cases micro-step for exactness.
+// and boundary/demotion cases micro-step for exactness. A replayed pass that
+// ends where its summary began folds the rest of the task into one step.
 func (e *Executor) runImages(g *graph.Graph, images int) {
 	batch := e.Batch
 	if batch < 1 {
@@ -716,6 +717,9 @@ func (e *Executor) runImages(g *graph.Graph, images int) {
 	}
 	for done := 0; done < images; done += batch {
 		if e.macroOK && e.fastForward(g, batch) {
+			if e.foldRest(g, (images-done-1)/batch) {
+				return
+			}
 			continue
 		}
 		e.runImage(g)

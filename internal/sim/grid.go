@@ -155,22 +155,29 @@ type gridKey struct {
 // CostGrids is a concurrency-safe set of cost grids for one platform, keyed
 // by (graph digest, batch). A cluster run builds one set and hands it to
 // every node executor and dry-run probe through Executor.Grids, so each
-// distinct model is priced once per run instead of once per executor. A grid
-// is built under the set's lock the first time it is asked for, so no key is
-// ever built twice; grids are immutable once built, so readers share them
-// without locking.
+// distinct model is priced once per run instead of once per executor. The
+// first caller to ask for a key claims it under the set's lock and builds
+// the grid outside it, so no key is ever built twice and only callers of the
+// same key wait for a build; grids are immutable once built, so readers
+// share them without locking.
 //
 // A set lives as long as its owner holds it; there is no process-wide set.
 type CostGrids struct {
 	platform *hw.Platform
 
 	mu    sync.Mutex
-	grids map[gridKey]*CostGrid
+	grids map[gridKey]*gridSlot
+}
+
+// gridSlot is one key's claim: the grid, built once.
+type gridSlot struct {
+	once sync.Once
+	gr   *CostGrid
 }
 
 // NewCostGrids returns an empty grid set serving platform p.
 func NewCostGrids(p *hw.Platform) *CostGrids {
-	return &CostGrids{platform: p, grids: map[gridKey]*CostGrid{}}
+	return &CostGrids{platform: p, grids: map[gridKey]*gridSlot{}}
 }
 
 // Grid returns the set's grid for (g, batch), building it on first use.
@@ -180,16 +187,17 @@ func (s *CostGrids) Grid(g *graph.Graph, batch int) *CostGrid {
 	}
 	k := gridKey{digest: graph.Digest(g), batch: batch}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	gr := s.grids[k]
-	if gr == nil {
-		gr = buildCostGrid(nil, s.platform, g, k.digest, batch)
-		s.grids[k] = gr
+	slot := s.grids[k]
+	if slot == nil {
+		slot = &gridSlot{}
+		s.grids[k] = slot
 	}
-	return gr
+	s.mu.Unlock()
+	slot.once.Do(func() { slot.gr = buildCostGrid(nil, s.platform, g, k.digest, batch) })
+	return slot.gr
 }
 
-// Len returns the number of grids the set has built.
+// Len returns the number of grids the set has built or is building.
 func (s *CostGrids) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

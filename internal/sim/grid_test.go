@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -246,5 +247,46 @@ func TestLedgerRunTaskAllocsOnlyResultCopies(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() { e.RunTask(g, 4) })
 	if allocs != 2 {
 		t.Fatalf("warm ledger RunTask allocated %.0f times per run, want 2 (LevelEnergyJ, LevelTime)", allocs)
+	}
+}
+
+// TestCostGridsClaimsEachKeyOnce hammers one set from many goroutines, each
+// asking for overlapping (graph, batch) keys in its own order through its own
+// graph objects. Builds run outside the set's lock, one claim per key: every
+// caller of a key must get the same grid, and the set must hold exactly one
+// grid per key. Run it under -race.
+func TestCostGridsClaimsEachKeyOnce(t *testing.T) {
+	p := hw.TX2()
+	names := []string{"alexnet", "mobilenet_v3", "resnet34", "vgg16"}
+	batches := []int{1, 2}
+	set := NewCostGrids(p)
+	const workers = 16
+	got := make([][]*CostGrid, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = make([]*CostGrid, len(names)*len(batches))
+			rng := rand.New(rand.NewSource(int64(w)))
+			for _, k := range rng.Perm(len(got[w])) {
+				g := models.MustBuild(names[k/len(batches)])
+				got[w][k] = set.Grid(g, batches[k%len(batches)])
+			}
+		}(w)
+	}
+	wg.Wait()
+	for k := range got[0] {
+		if got[0][k] == nil {
+			t.Fatalf("key %d: nil grid", k)
+		}
+		for w := 1; w < workers; w++ {
+			if got[w][k] != got[0][k] {
+				t.Fatalf("key %d: worker %d got grid %p, worker 0 got %p", k, w, got[w][k], got[0][k])
+			}
+		}
+	}
+	if n := set.Len(); n != len(names)*len(batches) {
+		t.Fatalf("set holds %d grids, want one per key = %d", n, len(names)*len(batches))
 	}
 }

@@ -53,7 +53,10 @@ type MacroSteppable interface {
 
 	// MacroAdvancePass folds one replayed pass into controller state,
 	// leaving it exactly where micro-stepping the pass would have: plan
-	// position warm, current level at the pass's exit level.
+	// position warm, current level at the pass's exit level. It must be
+	// idempotent: a second call with the same (graph, exit level) leaves the
+	// controller unchanged. A task whose replayed pass ends at its own entry
+	// level then folds all its remaining passes with one call (foldRest).
 	MacroAdvancePass(g *graph.Graph, exitGPULevel int)
 }
 
@@ -173,29 +176,79 @@ func binadeUlps(events []macroEvent, exp uint64) uint64 {
 	return m
 }
 
-// closedForm returns the energy the event sweep reaches from en as one
-// integer add on en's bit pattern. In en's binade floats are u apart with
-// consecutive bit patterns, so without ties each step adds rne(eInc/u) to
-// the pattern for as long as the sum stays in the binade; increments are
-// non-negative, so it stayed there iff the final pattern keeps en's
-// exponent. ok is false — sweep instead — for a zero, subnormal, negative
-// or non-finite en, a binade below the table or marked noUlps, or a sum
-// that would leave the binade.
-func (s *FlowSummary) closedForm(en float64) (float64, bool) {
-	b := math.Float64bits(en)
+// binadeStep returns the ulps one pass adds to an energy with bit pattern b
+// while the sum stays in b's binade: the table's entry, or 0 at and above
+// its top. ok is false for a zero, subnormal, negative or non-finite
+// energy, a binade below the table or marked noUlps, and a summary without
+// a table.
+func (s *FlowSummary) binadeStep(b uint64) (m uint64, ok bool) {
 	exp := b >> 52 // 2048 and up when the sign bit is set
 	if s.ulpLo == 0 || exp == 0 || exp >= 2047 || exp < s.ulpLo {
 		return 0, false
 	}
 	i := exp - s.ulpLo
 	if i >= uint64(len(s.ulps)) {
-		return en, true
+		return 0, true
 	}
-	m := s.ulps[i]
-	if m == noUlps || (b+m)>>52 != exp {
+	m = s.ulps[i]
+	return m, m != noUlps
+}
+
+// closedForm returns the energy the event sweep reaches from en as one
+// integer add on en's bit pattern. In en's binade floats are u apart with
+// consecutive bit patterns, so without ties each step adds rne(eInc/u) to
+// the pattern for as long as the sum stays in the binade; increments are
+// non-negative, so it stayed there iff the final pattern keeps en's
+// exponent. ok is false — sweep instead — where binadeStep cannot answer or
+// the sum would leave the binade.
+func (s *FlowSummary) closedForm(en float64) (float64, bool) {
+	b := math.Float64bits(en)
+	m, ok := s.binadeStep(b)
+	if !ok || (b+m)>>52 != b>>52 {
 		return 0, false
 	}
 	return math.Float64frombits(b + m), true
+}
+
+// sweep adds the pass's energy increments to en one by one, as
+// micro-stepping does.
+func (s *FlowSummary) sweep(en float64) float64 {
+	for i := range s.events {
+		en += s.events[i].eInc
+	}
+	return en
+}
+
+// foldEnergy returns the energy n successive sweeps reach from en, and how
+// many of the n passes it swept. Inside a binade every pass adds the same M
+// ulps and partial sums only rise, so j passes add j·M for as long as the
+// final pattern keeps en's exponent: each step takes as many passes as stay
+// strictly below the next power of two (j·M < 2^52, so the add cannot
+// carry past the exponent field) and then starts again from the new
+// binade. A pass that would reach the power of two, and any pass the table
+// cannot answer for (see binadeStep), is swept; M = 0 takes every
+// remaining pass.
+func (s *FlowSummary) foldEnergy(en float64, n int) (float64, int) {
+	swept := 0
+	for n > 0 {
+		b := math.Float64bits(en)
+		m, ok := s.binadeStep(b)
+		if ok && m == 0 {
+			break
+		}
+		if ok {
+			room := (b>>52+1)<<52 - 1 - b // ulps left below the next power of two
+			if j := min(uint64(n), room/m); j > 0 {
+				en = math.Float64frombits(b + j*m)
+				n -= int(j)
+				continue
+			}
+		}
+		en = s.sweep(en)
+		n--
+		swept++
+	}
+	return en, swept
 }
 
 // Wall returns the pass's wall time (exported for diagnostics).
@@ -400,6 +453,39 @@ func (e *Executor) fastForward(g *graph.Graph, batch int) bool {
 	return true
 }
 
+// foldRest applies the task's n remaining passes at once when the pass just
+// replayed left the executor at the state its key started from: exit level
+// equal to entry level, the same CPU level and the same plan digest. A pass
+// is a pure function of its key and MacroAdvancePass is idempotent, so every
+// remaining pass would then replay the same summary. Only the hot shape
+// folds (window-inert, no attribution); there the passes' only float chain
+// is the sensor energy, which foldEnergy moves, and the rest is integer
+// state scaled by n. False when there is nothing to fold.
+func (e *Executor) foldRest(g *graph.Graph, n int) bool {
+	if n <= 0 || !e.windowInert || e.attrib || e.rec != nil {
+		return false
+	}
+	k := &e.memoKey
+	if e.gpuLevel != k.entryGPU || clampCPU(e.Platform, e.Ctl.CPULevel()) != k.cpu {
+		return false
+	}
+	if plan, ok := e.macroCtl.MacroPlanDigest(g); !ok || plan != k.plan {
+		return false
+	}
+	s := e.memo
+	en, _ := s.foldEnergy(e.sensor.EnergyJ(), n)
+	e.sensor.FastForward(time.Duration(n)*s.wall, en, s.lastPowerW, e.Platform.GPUFreqsHz[s.exitGPU])
+	e.switches += n * s.switches
+	e.images += n * s.images
+	e.passes += n
+	if e.violates(s.ref, s.gpuBusy) {
+		e.qosViolations += n
+	}
+	e.hits += uint64(n)
+	e.macroCtl.MacroAdvancePass(g, s.exitGPU)
+	return true
+}
+
 // abortRecording abandons an in-flight recording (a window tick fired inside
 // the pass, so its events would not be offset-independent).
 func (e *Executor) abortRecording() {
@@ -455,9 +541,7 @@ func (e *Executor) applySummary(g *graph.Graph, digest uint64, s *FlowSummary) {
 		if v, ok := s.closedForm(en); ok {
 			en = v
 		} else {
-			for i := range s.events {
-				en += s.events[i].eInc
-			}
+			en = s.sweep(en)
 		}
 	} else {
 		for i := range s.events {
