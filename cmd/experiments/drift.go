@@ -47,6 +47,13 @@ func parseDriftFlags(args []string) (driftFlags, error) {
 	fs.DurationVar(&o.serveFor, "serve-for", 0, "with -serve: keep serving this long after the run (0 = until interrupted)")
 	fs.StringVar(&o.runDir, "run-dir", "", "record manifest + artifacts in this run-provenance store (empty = off)")
 	err := fs.Parse(args)
+	if err == nil {
+		err = positiveFlags(fs, "traffic", "audited", "threshold")
+	}
+	if err == nil && o.audited > o.traffic {
+		err = fmt.Errorf("-audited %d must not exceed -traffic %d", o.audited, o.traffic)
+		fmt.Fprintln(fs.Output(), err)
+	}
 	return o, err
 }
 

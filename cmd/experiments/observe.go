@@ -50,7 +50,7 @@ func parseObserveFlags(args []string) (observeFlags, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	return o, positiveCounts(fs, "tasks", "nodes", "jobs")
+	return o, positiveFlags(fs, "tasks", "nodes", "jobs")
 }
 
 // runObserve executes the fully instrumented scenario on TX2 and exports the

@@ -78,32 +78,56 @@ func TestParseResilienceFlags(t *testing.T) {
 }
 
 // TestScenarioFlagsRejectNonPositiveCounts pins the scenario CLIs' count
-// validation: a -tasks, -nodes or -jobs of zero or less is an error naming
-// the flag (the commands exit 2 on it), and the smallest positive count
-// parses.
+// validation: a -tasks, -nodes, -jobs, -traffic or -audited of zero or less
+// is an error naming the flag (the commands exit 2 on it), and the smallest
+// positive count parses. drift also refuses a -threshold that is not a
+// positive finite number and an -audited above -traffic, which the scenario
+// would otherwise replace silently.
 func TestScenarioFlagsRejectNonPositiveCounts(t *testing.T) {
+	parseDrift := func(a []string) error { _, err := parseDriftFlags(a); return err }
 	parsers := map[string]struct {
 		parse func([]string) error
 		flags []string
+		base  []string // parsed before the flag under test
 	}{
-		"observe": {func(a []string) error { _, err := parseObserveFlags(a); return err }, []string{"tasks", "nodes", "jobs"}},
+		"observe": {func(a []string) error { _, err := parseObserveFlags(a); return err }, []string{"tasks", "nodes", "jobs"}, nil},
 		"resilience": {func(a []string) error { _, err := parseResilienceFlags(a); return err },
-			[]string{"tasks", "nodes", "jobs"}},
-		"slo": {func(a []string) error { _, err := parseSLOFlags(a); return err }, []string{"tasks"}},
+			[]string{"tasks", "nodes", "jobs"}, nil},
+		"slo": {func(a []string) error { _, err := parseSLOFlags(a); return err }, []string{"tasks"}, nil},
+		// -traffic 1 is valid only with -audited at most 1.
+		"drift": {parseDrift, []string{"traffic", "audited"}, []string{"-audited", "1"}},
 	}
 	for cmd, p := range parsers {
 		for _, name := range p.flags {
 			for _, v := range []string{"0", "-3"} {
-				err := p.parse([]string{"-" + name, v})
+				err := p.parse(append(p.base, "-"+name, v))
 				want := "-" + name + " must be positive, got " + v
 				if err == nil || err.Error() != want {
 					t.Errorf("%s -%s %s: error %v, want %q", cmd, name, v, err, want)
 				}
 			}
-			if err := p.parse([]string{"-" + name, "1"}); err != nil {
+			if err := p.parse(append(p.base, "-"+name, "1")); err != nil {
 				t.Errorf("%s -%s 1: %v", cmd, name, err)
 			}
 		}
+	}
+
+	for _, v := range []string{"0", "-1", "NaN", "+Inf"} {
+		err := parseDrift([]string{"-threshold", v})
+		want := "-threshold must be positive and finite, got " + v
+		if err == nil || err.Error() != want {
+			t.Errorf("drift -threshold %s: error %v, want %q", v, err, want)
+		}
+	}
+	if err := parseDrift([]string{"-threshold", "0.25"}); err != nil {
+		t.Errorf("drift -threshold 0.25: %v", err)
+	}
+	err := parseDrift([]string{"-traffic", "4", "-audited", "5"})
+	if want := "-audited 5 must not exceed -traffic 4"; err == nil || err.Error() != want {
+		t.Errorf("drift -traffic 4 -audited 5: error %v, want %q", err, want)
+	}
+	if err := parseDrift([]string{"-traffic", "4", "-audited", "4"}); err != nil {
+		t.Errorf("drift -traffic 4 -audited 4: %v", err)
 	}
 }
 

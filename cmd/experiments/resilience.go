@@ -43,7 +43,7 @@ func parseResilienceFlags(args []string) (resilienceFlags, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	return o, positiveCounts(fs, "tasks", "nodes", "jobs")
+	return o, positiveFlags(fs, "tasks", "nodes", "jobs")
 }
 
 // observed reports whether any flag requests the instrumented variant.

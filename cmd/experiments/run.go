@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,14 +52,24 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// positiveCounts checks that each named int flag of fs is positive. The
-// scenario libraries read a zero count as "use the default", so on the
-// command line a count of zero or less is a mistake; it is reported like a
-// flag error, on the flag set's output, naming the flag.
-func positiveCounts(fs *flag.FlagSet, names ...string) error {
+// positiveFlags checks that each named int or float64 flag of fs is positive,
+// and a float64 also finite. The scenario libraries replace zero with their
+// default, so on the command line a value that fails is a mistake; it is
+// reported like a flag error, on the flag set's output, naming the flag.
+func positiveFlags(fs *flag.FlagSet, names ...string) error {
 	for _, name := range names {
-		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v <= 0 {
-			err := fmt.Errorf("-%s must be positive, got %d", name, v)
+		var err error
+		switch v := fs.Lookup(name).Value.(flag.Getter).Get().(type) {
+		case int:
+			if v <= 0 {
+				err = fmt.Errorf("-%s must be positive, got %d", name, v)
+			}
+		case float64:
+			if !(v > 0) || math.IsInf(v, 1) {
+				err = fmt.Errorf("-%s must be positive and finite, got %v", name, v)
+			}
+		}
+		if err != nil {
 			fmt.Fprintln(fs.Output(), err)
 			return err
 		}

@@ -47,7 +47,7 @@ func parseSLOFlags(args []string) (sloFlags, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	return o, positiveCounts(fs, "tasks")
+	return o, positiveFlags(fs, "tasks")
 }
 
 // runSLO executes the attributed scenario on TX2: a guarded MultiPlan task

@@ -81,8 +81,9 @@ type Config struct {
 	// nodes. Macro runs force SensorPeriod=0 on those executors (the
 	// per-node power-sample trace is incompatible with fast-forward), so set
 	// TraceOff on a reference run when byte-comparing macro against micro.
-	// Executors that demote (fault injection, obs, audit) micro-step
-	// automatically; results are bit-identical either way.
+	// Executors that demote (a controller that is not sim.MacroSteppable,
+	// such as a governor.Guard; fault injection, obs, audit) micro-step
+	// without touching the cache; results are bit-identical either way.
 	Macro *sim.SummaryCache
 	// TraceOff disables the per-node power-sample trace without enabling
 	// macro-stepping: the micro-stepped reference configuration for

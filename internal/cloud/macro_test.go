@@ -190,3 +190,67 @@ func TestRunSharesOneGridPerModel(t *testing.T) {
 		})
 	}
 }
+
+// TestMacroCountersExact gates the summary cache's work counters exactly on a
+// fault-free MultiPlan fleet with a fresh cache, on both dispatchers. Every
+// pass of a macro-eligible executor counts one hit or one miss, so
+// Hits+Misses is the node passes plus the dry-run probes' passes: one probe
+// per distinct (graph digest, images), of ceil(images/batch) passes. Fills
+// equal the committed summaries and are pinned; Aborts and Demoted are
+// always 0. The sharded dispatcher's hit/miss split varies with scheduling;
+// the sum and the fills do not. A Guard(MultiPlan) fleet with a cache acts at
+// window ticks, so it must micro-step: DeepEqual to its TraceOff run, with the
+// cache left untouched.
+func TestMacroCountersExact(t *testing.T) {
+	p := hw.TX2()
+	jobs := RandomJobs(300, time.Second, 5)
+	const wantFills = 24
+
+	probePasses := 0
+	probes := map[svcKey]bool{}
+	for _, j := range jobs {
+		k := svcKey{digest: graph.Digest(j.Graph), images: j.Images}
+		if !probes[k] {
+			probes[k] = true
+			probePasses += j.Images // batch 1: one pass per image
+		}
+	}
+	newGuarded := func() sim.Controller { return governor.NewGuard(multiPlanFactory()()) }
+
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"single-queue", 0}, {"sharded", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := sim.NewSummaryCache()
+			res := runCfg(t, Config{
+				Nodes: 8, Platform: p, NewCtl: multiPlanFactory(),
+				Shards: tc.shards, Macro: cache,
+			}, jobs)
+			st := cache.Stats()
+			if got, want := st.Hits+st.Misses, uint64(res.Passes+probePasses); got != want {
+				t.Errorf("hits+misses = %d, want %d node passes + %d probe passes = %d (%+v)",
+					got, res.Passes, probePasses, want, st)
+			}
+			if st.Fills != wantFills || cache.Len() != wantFills {
+				t.Errorf("fills %d, committed summaries %d, want %d", st.Fills, cache.Len(), wantFills)
+			}
+			if st.Aborts != 0 || st.Demoted != 0 {
+				t.Errorf("aborts %d, demoted %d, want 0", st.Aborts, st.Demoted)
+			}
+
+			guarded := Config{Nodes: 8, Platform: p, NewCtl: newGuarded, Shards: tc.shards}
+			micro := guarded
+			micro.TraceOff = true
+			want := runCfg(t, micro, jobs)
+			cache = sim.NewSummaryCache()
+			guarded.Macro = cache
+			if got := runCfg(t, guarded, jobs); !reflect.DeepEqual(want, got) {
+				t.Fatalf("guarded fleet with a cache differs from micro:\nmicro %+v\nmacro %+v", want, got)
+			}
+			if n, st := cache.Len(), cache.Stats(); n != 0 || st != (sim.SummaryCacheStats{}) {
+				t.Fatalf("guarded fleet touched the summary cache: %d summaries, %+v", n, st)
+			}
+		})
+	}
+}

@@ -20,6 +20,8 @@ import (
 // While in fallback it keeps probing the wrapped policy and restores it once
 // it behaves again, so transient misbehaviour (a corrupted plan, a policy
 // confused by faulty sensor windows) degrades a run instead of ruining it.
+// Guard acts at window ticks, so it is not a sim.MacroSteppable: a guarded
+// executor always micro-steps.
 type Guard struct {
 	Inner    sim.Controller
 	Fallback sim.Controller // defaults to NewOndemand()
@@ -226,43 +228,6 @@ func (g *Guard) BlockIndex(gr *graph.Graph, layerID int) int {
 	return 0
 }
 
-// MacroPlanDigest implements sim.MacroSteppable by delegating to the wrapped
-// policy. ok is false — demoting the executor to micro-stepping — while the
-// guard serves fallback decisions, when the wrapped policy is not itself
-// macro-steppable, or when the fallback is a plan controller whose
-// BeforeLayer state a replay would have to advance (the reactive defaults
-// are stateless per layer, which is what the fast path assumes).
-func (g *Guard) MacroPlanDigest(gr *graph.Graph) (uint64, bool) {
-	if g.fallback {
-		return 0, false
-	}
-	ms, ok := g.Inner.(sim.MacroSteppable)
-	if !ok {
-		return 0, false
-	}
-	if _, stateful := g.Fallback.(sim.MacroSteppable); stateful {
-		return 0, false
-	}
-	return ms.MacroPlanDigest(gr)
-}
-
-// MacroWindowInert implements sim.MacroSteppable: the guard acts at window
-// ticks (strike/fallback/recovery bookkeeping), so guarded runs keep full
-// window segmentation — passes fast-forward only when they fit strictly
-// inside the current window.
-func (g *Guard) MacroWindowInert() bool { return false }
-
-// MacroAdvancePass implements sim.MacroSteppable: a replayed pass leaves the
-// wrapped policy at its exit level, and — since every micro-stepped level
-// consultation of a nominal, in-range policy refreshes lastGood — the
-// guard's known-good level tracks the same exit.
-func (g *Guard) MacroAdvancePass(gr *graph.Graph, exitGPULevel int) {
-	if ms, ok := g.Inner.(sim.MacroSteppable); ok {
-		ms.MacroAdvancePass(gr, exitGPULevel)
-	}
-	g.lastGood = exitGPULevel
-}
-
 // OnWindow implements sim.Controller: sanitize the observation, feed both
 // policies (the fallback stays warm for takeover), then judge the wrapped
 // policy's decision.
@@ -402,7 +367,6 @@ func abs(v int) int {
 }
 
 var (
-	_ sim.Controller     = (*Guard)(nil)
-	_ sim.AuditSink      = (*Guard)(nil)
-	_ sim.MacroSteppable = (*Guard)(nil)
+	_ sim.Controller = (*Guard)(nil)
+	_ sim.AuditSink  = (*Guard)(nil)
 )

@@ -1,6 +1,8 @@
 package governor
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -23,13 +25,7 @@ func TestMacroPlanDigestStability(t *testing.T) {
 	planA2 := &FrequencyPlan{Model: g.Name, Points: map[int]int{0: 2, mid: 6}}
 	planB := &FrequencyPlan{Model: g.Name, Points: map[int]int{0: 3, mid: 6}}
 
-	digest := func(ctl sim.MacroSteppable) uint64 {
-		d, ok := ctl.MacroPlanDigest(g)
-		if !ok {
-			t.Fatal("nominal plan controller demoted")
-		}
-		return d
-	}
+	digest := func(ctl sim.MacroSteppable) uint64 { return ctl.MacroPlanDigest(g) }
 
 	pa := NewPowerLens(planA)
 	pa.Reset(p)
@@ -54,57 +50,46 @@ func TestMacroPlanDigestStability(t *testing.T) {
 	// A graph the plan does not cover applies no level changes: every plan
 	// controller reports the shared no-plan sentinel for it.
 	other := models.MustBuild("mobilenet_v3")
-	dOther, ok := pa.MacroPlanDigest(other)
-	if !ok {
-		t.Fatal("uncovered graph demoted")
-	}
-	dOther2, _ := pb.MacroPlanDigest(other)
+	dOther := pa.MacroPlanDigest(other)
+	dOther2 := pb.MacroPlanDigest(other)
 	if dOther != dOther2 || dOther == da {
 		t.Fatalf("no-plan sentinel broken: %016x / %016x (plan %016x)", dOther, dOther2, da)
 	}
 }
 
-// TestGuardMacroDemotions pins the guard's demotion rules: fallback episodes,
-// non-macro-steppable inner policies, and stateful (plan) fallbacks must all
-// force micro-stepping; the nominal case delegates to the inner digest.
+// TestGuardMacroDemotions pins that a guard always demotes: it acts at window
+// ticks, so *Guard is not a sim.MacroSteppable in any state — nominal, on
+// fallback, over a reactive inner policy, or with a plan-controller fallback.
 func TestGuardMacroDemotions(t *testing.T) {
 	p := hw.TX2()
 	g := models.AlexNet()
 	plan := &FrequencyPlan{Model: g.Name, Points: map[int]int{0: 4}}
 
-	gd := NewGuard(NewPowerLens(plan))
-	gd.Reset(p)
-	want, ok := gd.Inner.(sim.MacroSteppable).MacroPlanDigest(g)
-	if !ok {
-		t.Fatal("inner demoted")
-	}
-	if d, ok := gd.MacroPlanDigest(g); !ok || d != want {
-		t.Fatalf("nominal guard: got (%016x, %v), want (%016x, true)", d, ok, want)
-	}
-
-	gd.fallback = true
-	if _, ok := gd.MacroPlanDigest(g); ok {
-		t.Fatal("guard on fallback did not demote")
-	}
-	gd.fallback = false
-
+	nominal := NewGuard(NewPowerLens(plan))
+	onFallback := NewGuard(NewPowerLens(plan))
 	reactive := NewGuard(NewOndemand())
-	reactive.Reset(p)
-	if _, ok := reactive.MacroPlanDigest(g); ok {
-		t.Fatal("guard over a reactive policy did not demote")
-	}
-
 	statefulFB := NewGuard(NewPowerLens(plan))
 	statefulFB.Fallback = NewPowerLens(plan)
-	statefulFB.Reset(p)
-	if _, ok := statefulFB.MacroPlanDigest(g); ok {
-		t.Fatal("guard with a plan-controller fallback did not demote")
+	for name, gd := range map[string]*Guard{
+		"nominal": nominal, "on fallback": onFallback,
+		"reactive inner": reactive, "plan-controller fallback": statefulFB,
+	} {
+		gd.Reset(p)
+		for id := range g.Layers {
+			gd.BeforeLayer(g, id)
+		}
+		if gd == onFallback {
+			gd.fallback = true
+		}
+		if _, ok := sim.Controller(gd).(sim.MacroSteppable); ok {
+			t.Fatalf("%s guard is a sim.MacroSteppable", name)
+		}
 	}
 }
 
-// TestGuardMacroRunMatchesMicro runs a guarded MultiPlan flow under
-// macro-stepping (windowed mode: passes fast-forward only when they fit
-// inside the current window) and requires bit-identity with the micro oracle.
+// TestGuardMacroRunMatchesMicro runs a guarded MultiPlan flow with a summary
+// cache attached: the guard is not MacroSteppable, so the run micro-steps,
+// bit-identical to the micro oracle, and leaves the cache untouched.
 func TestGuardMacroRunMatchesMicro(t *testing.T) {
 	p := hw.TX2()
 	ga, gb := models.AlexNet(), models.MustBuild("mobilenet_v3")
@@ -137,8 +122,8 @@ func TestGuardMacroRunMatchesMicro(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("guarded macro flow differs:\nmicro %+v\nmacro %+v", want, got)
 	}
-	if st := cache.Stats(); st.Hits == 0 {
-		t.Fatalf("guarded flow never fast-forwarded: %+v", st)
+	if n, st := cache.Len(), cache.Stats(); n != 0 || st != (sim.SummaryCacheStats{}) {
+		t.Fatalf("guarded flow touched the summary cache: %d summaries, %+v", n, st)
 	}
 }
 
@@ -165,8 +150,8 @@ func TestPowerLensMacroRunTaskZeroAlloc(t *testing.T) {
 // executor's whole-task fold rests on: a second MacroAdvancePass with the
 // same (graph, exit level) leaves the controller unchanged. Two controllers
 // step the same micro-stepped pass; one then advances once, the other twice,
-// and they must stay deeply equal — for the planned graph, for a graph no
-// plan covers, and with a Guard around the plan.
+// and they must stay deeply equal — for the planned graph and for a graph no
+// plan covers.
 func TestMacroAdvancePassIdempotent(t *testing.T) {
 	p := hw.TX2()
 	g := models.AlexNet()
@@ -180,7 +165,6 @@ func TestMacroAdvancePassIdempotent(t *testing.T) {
 	}{
 		{"PowerLens", func() sim.MacroSteppable { return NewPowerLens(plan) }},
 		{"MultiPlan", func() sim.MacroSteppable { return NewMultiPlan(plans) }},
-		{"Guard(MultiPlan)", func() sim.MacroSteppable { return NewGuard(NewMultiPlan(plans)) }},
 	} {
 		for _, gr := range []*graph.Graph{g, other} {
 			once, twice := tc.new(), tc.new()
@@ -200,6 +184,68 @@ func TestMacroAdvancePassIdempotent(t *testing.T) {
 			}
 			if got := twice.GPULevel(); got != exit {
 				t.Fatalf("%s on %s: level %d after advancing to exit level %d", tc.name, gr.Name, got, exit)
+			}
+		}
+	}
+}
+
+// TestMacroSteppableWindowInert pins the window-inertness every
+// sim.MacroSteppable promises and the executor relies on when it skips window
+// segmentation: after a pass of BeforeLayer calls, OnWindow with any stats —
+// NaN, infinities and out-of-range values included — leaves the controller
+// deeply equal to an untouched twin, at the same GPU level.
+func TestMacroSteppableWindowInert(t *testing.T) {
+	p := hw.TX2()
+	g := models.AlexNet()
+	other := models.MustBuild("mobilenet_v3")
+	mid := len(g.Layers) / 2
+	plan := &FrequencyPlan{Model: g.Name, Points: map[int]int{0: 2, mid: 6}}
+	plans := map[string]*FrequencyPlan{g.Name: plan}
+
+	nan, inf := math.NaN(), math.Inf(1)
+	stats := []sim.WindowStats{
+		{},
+		{Period: 50 * time.Millisecond, GPUBusy: 1, CPUBusy: 0.4, AvgComputeUt: 0.7, AvgPowerW: 9.5, GPULevel: 6, CPULevel: 3},
+		{Period: time.Millisecond, GPUBusy: nan, CPUBusy: nan, AvgComputeUt: nan, AvgPowerW: nan, GPULevel: 2},
+		{Period: -time.Second, GPUBusy: inf, CPUBusy: -inf, AvgComputeUt: -1, AvgPowerW: inf, GPULevel: 99, CPULevel: -3},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 16; i++ {
+		stats = append(stats, sim.WindowStats{
+			Period:       time.Duration(rng.Int63n(int64(time.Second))),
+			GPUBusy:      rng.Float64(),
+			CPUBusy:      rng.Float64(),
+			AvgComputeUt: rng.NormFloat64(),
+			AvgPowerW:    rng.ExpFloat64() * 10,
+			GPULevel:     rng.Intn(p.NumGPULevels()),
+			CPULevel:     rng.Intn(len(p.CPUFreqsHz)),
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		new  func() sim.MacroSteppable
+	}{
+		{"PowerLens", func() sim.MacroSteppable { return NewPowerLens(plan) }},
+		{"MultiPlan", func() sim.MacroSteppable { return NewMultiPlan(plans) }},
+	} {
+		for _, gr := range []*graph.Graph{g, other} {
+			ticked, still := tc.new(), tc.new()
+			for _, c := range []sim.MacroSteppable{ticked, still} {
+				c.Reset(p)
+				for id := range gr.Layers {
+					c.BeforeLayer(gr, id)
+				}
+			}
+			level := still.GPULevel()
+			for _, s := range stats {
+				ticked.OnWindow(s)
+				if got := ticked.GPULevel(); got != level {
+					t.Fatalf("%s on %s: OnWindow(%+v) moved the level %d -> %d", tc.name, gr.Name, s, level, got)
+				}
+			}
+			if !reflect.DeepEqual(ticked, still) {
+				t.Fatalf("%s on %s: OnWindow changed the controller:\nticked %+v\nstill  %+v",
+					tc.name, gr.Name, ticked, still)
 			}
 		}
 	}

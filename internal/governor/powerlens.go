@@ -202,17 +202,13 @@ func (pl *PowerLens) ensureSched(g *graph.Graph) {
 // platform, reusing the flat schedules BeforeLayer compiles). Graphs the
 // plan does not cover share the no-plan sentinel — such passes apply no
 // level changes whatever the plan.
-func (pl *PowerLens) MacroPlanDigest(g *graph.Graph) (uint64, bool) {
+func (pl *PowerLens) MacroPlanDigest(g *graph.Graph) uint64 {
 	if pl.Plan == nil || pl.Plan.Model != g.Name {
-		return macroNoPlanDigest, true
+		return macroNoPlanDigest
 	}
 	pl.ensureSched(g)
-	return pl.planDigest, true
+	return pl.planDigest
 }
-
-// MacroWindowInert implements sim.MacroSteppable: OnWindow is a pure no-op
-// and levels change only at instrumentation points.
-func (pl *PowerLens) MacroWindowInert() bool { return true }
 
 // MacroAdvancePass implements sim.MacroSteppable: after a replayed pass the
 // plan position is warm and the level sits at the pass's exit level —
@@ -368,16 +364,13 @@ func (m *MultiPlan) scheduleFor(g *graph.Graph) *mpSchedule {
 }
 
 // MacroPlanDigest implements sim.MacroSteppable (see PowerLens).
-func (m *MultiPlan) MacroPlanDigest(g *graph.Graph) (uint64, bool) {
+func (m *MultiPlan) MacroPlanDigest(g *graph.Graph) uint64 {
 	e := m.scheduleFor(g)
 	if e == nil {
-		return macroNoPlanDigest, true
+		return macroNoPlanDigest
 	}
-	return e.planDigest, true
+	return e.planDigest
 }
-
-// MacroWindowInert implements sim.MacroSteppable.
-func (m *MultiPlan) MacroWindowInert() bool { return true }
 
 // MacroAdvancePass implements sim.MacroSteppable.
 func (m *MultiPlan) MacroAdvancePass(g *graph.Graph, exitGPULevel int) {

@@ -92,7 +92,7 @@ func recordedSummaries(t *testing.T) []*FlowSummary {
 		g := models.MustBuild(name)
 		for _, batch := range []int{1, 4} {
 			cache := NewSummaryCache()
-			e := NewExecutor(hw.TX2(), &macroCtlT{lo: 2, hi: 6, splitAt: 5, inert: true})
+			e := NewExecutor(hw.TX2(), &macroCtlT{lo: 2, hi: 6, splitAt: 5})
 			e.SensorPeriod = 0
 			e.Batch = batch
 			e.Summaries = cache
@@ -280,7 +280,7 @@ func FuzzClosedForm(f *testing.F) {
 func TestMacroMemoCountsEveryPass(t *testing.T) {
 	p := hw.TX2()
 	newExec := func(cache *SummaryCache) *Executor {
-		e := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5, inert: true})
+		e := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5})
 		e.SensorPeriod = 0
 		e.Summaries = cache
 		return e

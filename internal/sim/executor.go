@@ -216,8 +216,9 @@ type Executor struct {
 	// a MacroSteppable controller are fast-forwarded from cached
 	// FlowSummaries, bit-identical to micro-stepping them. The cache may be
 	// shared across executors (cluster nodes); fills are single-flight.
-	// Incompatible sinks (faults, obs, audit, thermal, the sample trace)
-	// demote the run to micro-stepping automatically.
+	// Controllers that are not MacroSteppable (governor.Guard included) and
+	// incompatible sinks (faults, obs, audit, thermal, the sample trace)
+	// demote the run to micro-stepping, leaving the cache untouched.
 	Summaries *SummaryCache
 	// Grids, when non-nil, is a shared set of cost grids (grid.go) serving
 	// this executor's platform. Cluster runs hand one set to every node
@@ -287,7 +288,6 @@ type Executor struct {
 	memoKey     summaryKey     // key of the summary fastForward last resolved
 	memo        *FlowSummary   // that summary; nil until one resolves
 	hits        uint64         // cache hits this run
-	demoted     uint64         // boundary demotions this run
 }
 
 // defaultWindowPeriod is the governor sampling period of NewExecutor, and
@@ -355,10 +355,10 @@ func (e *Executor) reset() {
 // architecture fuses them into the add: macro replay adds the rounded
 // products the recorder stored.
 func (e *Executor) advance(d time.Duration, powerW float64, gpuBusy, cpuBusy bool, computeUt float64) {
-	if e.rec != nil {
-		e.rec.note(d, powerW, computeUt, e.gpuLevel, gpuBusy, cpuBusy)
-	}
 	if e.windowInert {
+		if e.rec != nil {
+			e.rec.note(d, powerW, e.gpuLevel)
+		}
 		e.sensor.Advance(d, powerW, e.Platform.GPUFreqsHz[e.gpuLevel])
 		if e.attrib {
 			e.levelEnergy[e.gpuLevel] += float64(powerW * d.Seconds())
@@ -400,11 +400,6 @@ func (e *Executor) advance(d time.Duration, powerW float64, gpuBusy, cpuBusy boo
 // tickWindow delivers a completed window to the controller and applies any
 // requested frequency change.
 func (e *Executor) tickWindow() {
-	if e.rec != nil {
-		// A window boundary split the pass being recorded: its advance
-		// sequence depends on the window offset, so it cannot be a summary.
-		e.abortRecording()
-	}
 	period := e.winElapsed
 	stats := WindowStats{
 		Period:   period,
@@ -707,9 +702,9 @@ func (e *Executor) RunTask(g *graph.Graph, images int) Result {
 
 // runImages processes at least the given number of images in batched passes.
 // With macro-stepping eligible (macro.go), each pass first tries the
-// analytic fast-forward; misses micro-step (recording a representative pass)
-// and boundary/demotion cases micro-step for exactness. A replayed pass that
-// ends where its summary began folds the rest of the task into one step.
+// analytic fast-forward; misses micro-step (recording a representative pass).
+// A replayed pass that ends where its summary began folds the rest of the
+// task into one step.
 func (e *Executor) runImages(g *graph.Graph, images int) {
 	batch := e.Batch
 	if batch < 1 {

@@ -238,7 +238,7 @@ func TestFoldMatchesMicro(t *testing.T) {
 	for _, name := range models.Names() {
 		g := models.MustBuild(name)
 		for _, batch := range []int{1, 4} {
-			micro, macro, cache := newMacroPair(p, true)
+			micro, macro, cache := newMacroPair(p, false)
 			micro.Batch, macro.Batch = batch, batch
 			for _, n := range images {
 				want := micro.RunTask(g, n)
@@ -291,7 +291,7 @@ func TestFoldMatchesMicro(t *testing.T) {
 func TestFoldDeclinesOffFixedPoint(t *testing.T) {
 	p := hw.TX2()
 	newCtl := func() *entryCtl {
-		return &entryCtl{macroCtlT: &macroCtlT{lo: 2, hi: 6, splitAt: 5, inert: true}, entry: 4}
+		return &entryCtl{macroCtlT: &macroCtlT{lo: 2, hi: 6, splitAt: 5}, entry: 4}
 	}
 	for _, g := range []*graph.Graph{models.AlexNet(), models.MustBuild("mobilenet_v3")} {
 		micro := NewExecutor(p, newCtl())

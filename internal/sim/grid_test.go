@@ -140,7 +140,7 @@ func TestCostGridsSharedAcrossExecutors(t *testing.T) {
 	want := map[string][]Result{}
 	for _, name := range names {
 		for _, batch := range batches {
-			e := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5, inert: true})
+			e := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5})
 			e.SensorPeriod = 0
 			want[name] = append(want[name], run(e, models.MustBuild(name), batch))
 		}
@@ -154,7 +154,7 @@ func TestCostGridsSharedAcrossExecutors(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			e := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5, inert: true})
+			e := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5})
 			e.SensorPeriod = 0
 			e.Grids = set
 			got[w] = map[string][]Result{}
@@ -200,7 +200,7 @@ func TestGridPassCellsMatchPerLayerSegments(t *testing.T) {
 	g := models.AlexNet()
 	const lo, hi, split = 2, 6, 5
 	for _, batch := range []int{1, 2} {
-		e := NewExecutor(p, &macroCtlT{lo: lo, hi: hi, splitAt: split, inert: true})
+		e := NewExecutor(p, &macroCtlT{lo: lo, hi: hi, splitAt: split})
 		e.SensorPeriod = 0
 		e.Batch = batch
 		e.Ledger = ledger.New()
@@ -238,7 +238,7 @@ func TestGridPassCellsMatchPerLayerSegments(t *testing.T) {
 // slices Result hands out, whatever the number of passes and layers.
 func TestLedgerRunTaskAllocsOnlyResultCopies(t *testing.T) {
 	p := hw.TX2()
-	e := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5, inert: true})
+	e := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5})
 	e.SensorPeriod = 0
 	e.Ledger = ledger.New()
 	g := models.AlexNet()

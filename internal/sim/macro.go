@@ -34,22 +34,16 @@ import (
 // fast-forward. The contract: BeforeLayer is the only hook that changes the
 // requested levels, and the level sequence over a pass is a pure function of
 // (graph, plan digest, entry levels) — true of the plan governors, never of
-// the reactive baselines.
+// the reactive baselines. OnWindow must change nothing, whatever the stats:
+// the executor skips window ticks for these controllers, so one that acts at
+// window ticks (governor.Guard) must not implement this interface.
 type MacroSteppable interface {
 	Controller
 
 	// MacroPlanDigest returns a stable digest of the schedule the controller
 	// would apply to g — equal digests must mean identical per-layer level
-	// sequences from any given entry level. ok=false demotes the executor to
-	// micro-stepping (e.g. a guard serving fallback decisions).
-	MacroPlanDigest(g *graph.Graph) (digest uint64, ok bool)
-
-	// MacroWindowInert reports that OnWindow is a pure no-op and the level
-	// requested between instrumentation points never changes at a window
-	// tick. The executor then skips window segmentation entirely, making
-	// pass event sequences independent of their window offset — whole tasks
-	// fast-forward no matter how their passes straddle window boundaries.
-	MacroWindowInert() bool
+	// sequences from any given entry level.
+	MacroPlanDigest(g *graph.Graph) uint64
 
 	// MacroAdvancePass folds one replayed pass into controller state,
 	// leaving it exactly where micro-stepping the pass would have: plan
@@ -73,26 +67,21 @@ type summaryKey struct {
 	cpu      int
 }
 
-// macroEvent is one recorded advance: the exact increments micro-stepping
-// adds to the float accumulators (precomputed products of the same operands,
-// hence the same bits) plus the integer state replay needs.
+// macroEvent is one recorded advance: the exact energy increment
+// micro-stepping adds (the precomputed product of the same operands, hence
+// the same bits) plus what per-level attribution needs.
 type macroEvent struct {
-	dur     time.Duration
-	eInc    float64 // powerW × dt — energy/winEnergy/levelEnergy increment
-	cInc    float64 // computeUt × dt — winCompute increment (0 when GPU idle)
-	level   int32   // GPU level during the event
-	gpuBusy bool
-	cpuBusy bool
+	dur   time.Duration
+	eInc  float64 // powerW × dt — energy/levelEnergy increment
+	level int32   // GPU level during the event
 }
 
 // FlowSummary is one micro-stepped representative pass, replayable against
-// any executor state that matches its key (and, in windowed mode, leaves the
-// pass strictly inside the current window).
+// any executor state that matches its key.
 type FlowSummary struct {
 	wall       time.Duration // whole-pass wall time
 	ref        time.Duration // max-frequency reference pass time (QoS baseline)
-	gpuBusy    time.Duration // GPU busy total (QoS verdict + window busy delta)
-	cpuBusy    time.Duration // host busy total (window busy delta)
+	gpuBusy    time.Duration // GPU busy total (QoS verdict)
 	exitGPU    int           // applied GPU level after the pass
 	switches   int           // DVFS switches paid during the pass
 	images     int           // images per pass (the batch size)
@@ -251,19 +240,16 @@ func (s *FlowSummary) foldEnergy(en float64, n int) (float64, int) {
 	return en, swept
 }
 
-// Wall returns the pass's wall time (exported for diagnostics).
-func (s *FlowSummary) Wall() time.Duration { return s.wall }
-
 // SummaryCacheStats reports cache effectiveness counters. Executors count
-// their hits and boundary demotions privately and add them when each run
-// ends, so after a run Hits+Misses is the number of fast-forward attempts;
-// during a run the counts lag.
+// their hits privately and add them when each run ends, so after a run
+// Hits+Misses is the number of passes that tried the fast path; during a run
+// the counts lag. A demoted executor leaves no count.
 type SummaryCacheStats struct {
 	Hits    uint64 // passes fast-forwarded from a cached summary
 	Misses  uint64 // lookups that found no summary (micro-stepped)
 	Fills   uint64 // summaries recorded and committed
-	Aborts  uint64 // recordings abandoned (a window tick split the pass)
-	Demoted uint64 // boundary demotions of an otherwise cached pass
+	Aborts  uint64 // always 0: no window tick can split a recording
+	Demoted uint64 // always 0: no cached pass demotes at a window boundary
 }
 
 // SummaryCache is the shared per-(platform, graph, plan, batch, entry-level)
@@ -321,20 +307,10 @@ func (c *SummaryCache) commit(k summaryKey, s *FlowSummary) {
 	c.mu.Unlock()
 }
 
-// abortFill releases the claim without publishing (the recording pass was
-// split by a window tick); a later pass may try again.
-func (c *SummaryCache) abortFill(k summaryKey) {
-	c.mu.Lock()
-	delete(c.filling, k)
-	c.stats.Aborts++
-	c.mu.Unlock()
-}
-
-// addRunCounts adds one run's privately counted hits and demotions.
-func (c *SummaryCache) addRunCounts(hits, demoted uint64) {
+// addRunHits adds one run's privately counted hits.
+func (c *SummaryCache) addRunHits(hits uint64) {
 	c.mu.Lock()
 	c.stats.Hits += hits
-	c.stats.Demoted += demoted
 	c.mu.Unlock()
 }
 
@@ -357,25 +333,13 @@ type macroRecorder struct {
 	events     []macroEvent
 	startNow   time.Duration
 	switches0  int
-	cpuBusy    time.Duration
 	lastPowerW float64
 }
 
-// note records one advance call (the executor guarantees no window split can
-// occur on a recorded pass — a tick aborts the recording instead).
-func (r *macroRecorder) note(d time.Duration, powerW, computeUt float64, level int, gpuBusy, cpuBusy bool) {
-	sec := d.Seconds()
-	r.events = append(r.events, macroEvent{
-		dur:     d,
-		eInc:    powerW * sec,
-		cInc:    computeUt * sec,
-		level:   int32(level),
-		gpuBusy: gpuBusy,
-		cpuBusy: cpuBusy,
-	})
-	if cpuBusy {
-		r.cpuBusy += d
-	}
+// note records one advance call. Recording runs in window-inert mode only,
+// so no window tick can split a recorded pass.
+func (r *macroRecorder) note(d time.Duration, powerW float64, level int) {
+	r.events = append(r.events, macroEvent{dur: d, eInc: powerW * d.Seconds(), level: int32(level)})
 	r.lastPowerW = powerW
 }
 
@@ -385,7 +349,7 @@ func (e *Executor) macroReset() {
 	e.rec = nil
 	// The cache may have been swapped since the last run.
 	e.memoKey, e.memo = summaryKey{}, nil
-	e.hits, e.demoted = 0, 0
+	e.hits = 0
 	e.macroCtl, _ = e.Ctl.(MacroSteppable)
 	// Window-inert mode: with a plan controller and nothing observing the
 	// window structure, window segmentation is pure bookkeeping — OnWindow
@@ -393,33 +357,26 @@ func (e *Executor) macroReset() {
 	// contract — so the executor skips it. This makes pass event sequences
 	// independent of their offset inside a window, which is what lets whole
 	// tasks (with passes longer than a window) fast-forward.
-	e.windowInert = e.macroCtl != nil && e.macroCtl.MacroWindowInert() &&
-		e.Obs == nil && e.Faults == nil && e.thermal == nil
+	e.windowInert = e.macroCtl != nil && e.Obs == nil && e.Faults == nil && e.thermal == nil
 	// Fast-forward eligibility (the demotion set): anything that observes or
 	// perturbs individual steps forces micro-stepping — fault injection
 	// (every Transition/SensorWindow call draws from the seeded stream),
-	// per-switch/per-window observability spans, per-apply audit records,
-	// thermal integration, and the power-sample trace.
-	e.macroOK = e.Summaries != nil && e.macroCtl != nil &&
-		e.Obs == nil && e.Faults == nil && e.thermal == nil &&
-		e.Audit == nil && e.SensorPeriod <= 0
+	// per-switch/per-window observability spans and thermal integration, all
+	// outside window-inert mode, per-apply audit records and the sample trace.
+	e.macroOK = e.Summaries != nil && e.windowInert && e.Audit == nil && e.SensorPeriod <= 0
 }
 
 // fastForward applies one whole pass analytically if an exact summary is
 // cached for the executor's current state. On a miss it claims the key and
 // records the micro-stepped pass that follows. Returns false to micro-step.
 func (e *Executor) fastForward(g *graph.Graph, batch int) bool {
-	plan, ok := e.macroCtl.MacroPlanDigest(g)
-	if !ok {
-		return false // non-nominal controller state (e.g. guard on fallback)
-	}
 	// A replayed pass needs no cost grid: the key carries the graph digest
 	// and the summary the reference pass time.
 	digest := graph.Digest(g)
 	k := summaryKey{
 		platform: e.Platform,
 		graph:    digest,
-		plan:     plan,
+		plan:     e.macroCtl.MacroPlanDigest(g),
 		batch:    batch,
 		entryGPU: e.gpuLevel,
 		cpu:      clampCPU(e.Platform, e.Ctl.CPULevel()),
@@ -442,13 +399,6 @@ func (e *Executor) fastForward(g *graph.Graph, batch int) bool {
 		e.memoKey, e.memo = k, s
 	}
 	e.hits++
-	// Windowed mode (e.g. a guard wrapping the plan): a pass that would
-	// reach or cross the window boundary must micro-step so the tick fires
-	// at the exact simulated instant.
-	if !e.windowInert && e.winElapsed+s.wall >= e.window {
-		e.demoted++
-		return false
-	}
 	e.applySummary(g, digest, s)
 	return true
 }
@@ -458,18 +408,16 @@ func (e *Executor) fastForward(g *graph.Graph, batch int) bool {
 // equal to entry level, the same CPU level and the same plan digest. A pass
 // is a pure function of its key and MacroAdvancePass is idempotent, so every
 // remaining pass would then replay the same summary. Only the hot shape
-// folds (window-inert, no attribution); there the passes' only float chain
-// is the sensor energy, which foldEnergy moves, and the rest is integer
-// state scaled by n. False when there is nothing to fold.
+// folds (no attribution); there the passes' only float chain is the sensor
+// energy, which foldEnergy moves, and the rest is integer state scaled by n.
+// False when there is nothing to fold.
 func (e *Executor) foldRest(g *graph.Graph, n int) bool {
-	if n <= 0 || !e.windowInert || e.attrib || e.rec != nil {
+	if n <= 0 || e.attrib {
 		return false
 	}
 	k := &e.memoKey
-	if e.gpuLevel != k.entryGPU || clampCPU(e.Platform, e.Ctl.CPULevel()) != k.cpu {
-		return false
-	}
-	if plan, ok := e.macroCtl.MacroPlanDigest(g); !ok || plan != k.plan {
+	if e.gpuLevel != k.entryGPU || clampCPU(e.Platform, e.Ctl.CPULevel()) != k.cpu ||
+		e.macroCtl.MacroPlanDigest(g) != k.plan {
 		return false
 	}
 	s := e.memo
@@ -486,13 +434,6 @@ func (e *Executor) foldRest(g *graph.Graph, n int) bool {
 	return true
 }
 
-// abortRecording abandons an in-flight recording (a window tick fired inside
-// the pass, so its events would not be offset-independent).
-func (e *Executor) abortRecording() {
-	e.Summaries.abortFill(e.rec.key)
-	e.rec = nil
-}
-
 // finishRecording publishes the just-micro-stepped pass, priced from gr, as
 // a summary, with a copy of the pass's ledger cells and its closed-form
 // table, built here so that the summary is immutable once shared.
@@ -504,7 +445,6 @@ func (e *Executor) finishRecording(gr *CostGrid, gpuBusy time.Duration, cells []
 		wall:       e.sensor.Now() - r.startNow,
 		ref:        gr.ref,
 		gpuBusy:    gpuBusy,
-		cpuBusy:    r.cpuBusy,
 		exitGPU:    e.gpuLevel,
 		switches:   e.switches - r.switches0,
 		images:     gr.batch,
@@ -516,26 +456,26 @@ func (e *Executor) finishRecording(gr *CostGrid, gpuBusy time.Duration, cells []
 	})
 }
 
-// macroResult adds the run's privately counted hits and boundary demotions
-// to the cache's stats, once, as the run returns.
+// macroResult adds the run's privately counted hits to the cache's stats,
+// once, as the run returns.
 func (e *Executor) macroResult() {
-	if e.hits != 0 || e.demoted != 0 {
-		e.Summaries.addRunCounts(e.hits, e.demoted)
-		e.hits, e.demoted = 0, 0
+	if e.hits != 0 {
+		e.Summaries.addRunHits(e.hits)
+		e.hits = 0
 	}
 }
 
 // applySummary replays one cached pass against the executor's accumulators.
-// Float chains (sensor energy, window energy/compute, per-level energy) are
-// replayed per event with the exact increments micro-stepping would add —
-// bit-identical by construction — except that the hot shape's sensor energy
-// takes the closed form when it can answer; integer state is bulk-added.
+// Float chains (sensor energy, per-level energy) are replayed per event with
+// the exact increments micro-stepping would add — bit-identical by
+// construction — except that the hot shape's sensor energy takes the closed
+// form when it can answer; integer state is bulk-added.
 func (e *Executor) applySummary(g *graph.Graph, digest uint64, s *FlowSummary) {
 	passStart := e.sensor.Now()
 	passEnergy := e.sensor.EnergyJ()
 
 	en := passEnergy
-	if e.windowInert && !e.attrib {
+	if !e.attrib {
 		// Hot serving shape (plan controller, no attribution): the sensor
 		// energy is the only float chain, replayed in closed form or swept.
 		if v, ok := s.closedForm(en); ok {
@@ -547,20 +487,9 @@ func (e *Executor) applySummary(g *graph.Graph, digest uint64, s *FlowSummary) {
 		for i := range s.events {
 			ev := &s.events[i]
 			en += ev.eInc
-			if !e.windowInert {
-				e.winEnergy += ev.eInc
-				e.winCompute += ev.cInc
-			}
-			if e.attrib {
-				e.levelEnergy[ev.level] += ev.eInc
-				e.levelTime[ev.level] += ev.dur
-			}
+			e.levelEnergy[ev.level] += ev.eInc
+			e.levelTime[ev.level] += ev.dur
 		}
-	}
-	if !e.windowInert {
-		e.winElapsed += s.wall
-		e.winGPUBusy += s.gpuBusy
-		e.winCPUBusy += s.cpuBusy
 	}
 	e.sensor.FastForward(s.wall, en, s.lastPowerW, e.Platform.GPUFreqsHz[s.exitGPU])
 

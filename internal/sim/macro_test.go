@@ -21,7 +21,6 @@ type macroCtlT struct {
 	p       *hw.Platform
 	lo, hi  int
 	splitAt int
-	inert   bool // MacroWindowInert: true for the plain plan, false for "guarded"
 	level   int
 }
 
@@ -38,14 +37,13 @@ func (c *macroCtlT) BeforeLayer(_ *graph.Graph, layerID int) {
 	}
 }
 
-func (c *macroCtlT) MacroPlanDigest(*graph.Graph) (uint64, bool) {
+func (c *macroCtlT) MacroPlanDigest(*graph.Graph) uint64 {
 	h := uint64(14695981039346656037)
 	for _, v := range []int{c.lo, c.hi, c.splitAt} {
 		h = (h ^ uint64(v)) * 1099511628211
 	}
-	return h, true
+	return h
 }
-func (c *macroCtlT) MacroWindowInert() bool { return c.inert }
 func (c *macroCtlT) MacroAdvancePass(_ *graph.Graph, exitGPULevel int) {
 	c.level = exitGPULevel
 }
@@ -60,16 +58,37 @@ func (c *macroCtlT) BlockIndex(_ *graph.Graph, layerID int) int {
 var _ MacroSteppable = (*macroCtlT)(nil)
 var _ BlockResolver = (*macroCtlT)(nil)
 
+// windowedCtlT hides a plan controller's MacroSteppable methods: it steps the
+// same plan but, like a controller that acts at window ticks (governor.Guard),
+// it is never macro-stepped and keeps full window segmentation.
+type windowedCtlT struct{ Controller }
+
 // newMacroPair returns micro and macro executors in the same configuration
-// (trace off; the macro one carries a fresh summary cache).
-func newMacroPair(p *hw.Platform, inert bool) (micro, macro *Executor, cache *SummaryCache) {
-	micro = NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5, inert: inert})
+// (trace off; the macro one carries a fresh summary cache). windowed wraps
+// both controllers in windowedCtlT.
+func newMacroPair(p *hw.Platform, windowed bool) (micro, macro *Executor, cache *SummaryCache) {
+	newCtl := func() Controller {
+		if windowed {
+			return windowedCtlT{&macroCtlT{lo: 2, hi: 6, splitAt: 5}}
+		}
+		return &macroCtlT{lo: 2, hi: 6, splitAt: 5}
+	}
+	micro = NewExecutor(p, newCtl())
 	micro.SensorPeriod = 0
-	macro = NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5, inert: inert})
+	macro = NewExecutor(p, newCtl())
 	macro.SensorPeriod = 0
 	cache = NewSummaryCache()
 	macro.Summaries = cache
 	return micro, macro, cache
+}
+
+// cacheUntouched fails t unless cache has no summary and zero stats: the
+// state a run that never macro-stepped leaves it in.
+func cacheUntouched(t *testing.T, cache *SummaryCache) {
+	t.Helper()
+	if n, st := cache.Len(), cache.Stats(); n != 0 || st != (SummaryCacheStats{}) {
+		t.Fatalf("a run that must micro-step touched the cache: %d summaries, %+v", n, st)
+	}
 }
 
 // TestMacroRunTaskMatchesMicro pins the core contract: a macro-stepped task is
@@ -78,7 +97,7 @@ func newMacroPair(p *hw.Platform, inert bool) (micro, macro *Executor, cache *Su
 func TestMacroRunTaskMatchesMicro(t *testing.T) {
 	p := hw.TX2()
 	g := models.AlexNet()
-	micro, macro, cache := newMacroPair(p, true)
+	micro, macro, cache := newMacroPair(p, false)
 
 	want := micro.RunTask(g, 8)
 	cold := macro.RunTask(g, 8)
@@ -107,7 +126,7 @@ func TestMacroRunTaskMatchesMicro(t *testing.T) {
 func TestMacroBatchedPassesMatchMicro(t *testing.T) {
 	p := hw.TX2()
 	g := models.MustBuild("mobilenet_v3")
-	micro, macro, _ := newMacroPair(p, true)
+	micro, macro, _ := newMacroPair(p, false)
 	micro.Batch, macro.Batch = 4, 4
 
 	want := micro.RunTask(g, 10)
@@ -121,9 +140,10 @@ func TestMacroBatchedPassesMatchMicro(t *testing.T) {
 }
 
 // TestMacroFlowArrivalsMatchesMicro pins equality across a multi-model task
-// flow with idle gaps, in both window modes. The windowed variant uses a
-// period long enough that most passes fit inside a window, so the fast path
-// is genuinely exercised (asserted via cache hits).
+// flow with idle gaps. The inert variant fast-forwards (asserted via cache
+// hits). The windowed variant steps the same plan through a controller that
+// is not MacroSteppable, with a period long enough that most passes fit
+// inside a window: it must micro-step and leave the cache untouched.
 func TestMacroFlowArrivalsMatchesMicro(t *testing.T) {
 	p := hw.TX2()
 	tasks := []Task{
@@ -134,12 +154,12 @@ func TestMacroFlowArrivalsMatchesMicro(t *testing.T) {
 	gaps := []time.Duration{20 * time.Millisecond, 70 * time.Millisecond}
 
 	for _, tc := range []struct {
-		name  string
-		inert bool
-	}{{"inert", true}, {"windowed", false}} {
+		name     string
+		windowed bool
+	}{{"inert", false}, {"windowed", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			micro, macro, cache := newMacroPair(p, tc.inert)
-			if !tc.inert {
+			micro, macro, cache := newMacroPair(p, tc.windowed)
+			if tc.windowed {
 				micro.WindowPeriod = 400 * time.Millisecond
 				macro.WindowPeriod = 400 * time.Millisecond
 			}
@@ -147,6 +167,10 @@ func TestMacroFlowArrivalsMatchesMicro(t *testing.T) {
 			got := macro.RunTaskFlowArrivals(tasks, gaps)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("flow differs:\nmicro %+v\nmacro %+v", want, got)
+			}
+			if tc.windowed {
+				cacheUntouched(t, cache)
+				return
 			}
 			if st := cache.Stats(); st.Hits == 0 {
 				t.Fatalf("flow never fast-forwarded: %+v", st)
@@ -166,7 +190,7 @@ func TestMacroAttributionByteIdentical(t *testing.T) {
 	}
 	gaps := []time.Duration{30 * time.Millisecond}
 
-	micro, macro, cache := newMacroPair(p, true)
+	micro, macro, cache := newMacroPair(p, false)
 	micro.TrackLevels, macro.TrackLevels = true, true
 	lMicro, lMacro := ledger.New(), ledger.New()
 	micro.Ledger, macro.Ledger = lMicro, lMacro
@@ -198,7 +222,7 @@ func TestMacroAttributionByteIdentical(t *testing.T) {
 func TestMacroWarmReplayZeroAlloc(t *testing.T) {
 	p := hw.TX2()
 	g := models.AlexNet()
-	e := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5, inert: true})
+	e := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5})
 	e.SensorPeriod = 0
 	e.Summaries = NewSummaryCache()
 	e.RunTask(g, 4) // warm: summaries, sensor, cost grid
@@ -225,10 +249,10 @@ func TestMacroDemotions(t *testing.T) {
 		{"faults", func(e *Executor) { e.Faults = hw.NewInjector(faults) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			micro := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5, inert: true})
+			micro := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5})
 			micro.SensorPeriod = 0
 			tc.set(micro)
-			macro := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5, inert: true})
+			macro := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5})
 			macro.SensorPeriod = 0
 			tc.set(macro)
 			cache := NewSummaryCache()
@@ -255,7 +279,7 @@ func TestMacroDemotions(t *testing.T) {
 func TestMacroSingleFlightFill(t *testing.T) {
 	p := hw.TX2()
 	g := models.AlexNet()
-	ref := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5, inert: true})
+	ref := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5})
 	ref.SensorPeriod = 0
 	want := ref.RunTask(g, 6)
 
@@ -267,7 +291,7 @@ func TestMacroSingleFlightFill(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			e := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5, inert: true})
+			e := NewExecutor(p, &macroCtlT{lo: 2, hi: 6, splitAt: 5})
 			e.SensorPeriod = 0
 			e.Summaries = cache
 			results[w] = e.RunTask(g, 6)
@@ -285,15 +309,15 @@ func TestMacroSingleFlightFill(t *testing.T) {
 	}
 }
 
-// TestMacroTaskEndsOnWindowBoundary pins the windowed boundary comparison: a
-// cached pass whose wall time lands exactly on the window boundary must
-// demote (the tick has to fire at that exact instant). The schedule is
-// constant-level so every pass has identical wall time; the window period is
-// set to exactly two passes.
+// TestMacroTaskEndsOnWindowBoundary pins a window-acting controller whose
+// passes end exactly on window boundaries: with a cache attached it must
+// micro-step every pass, so each tick fires at its exact instant, and leave
+// the cache untouched. The schedule is constant-level so every pass has
+// identical wall time; the window period is set to exactly two passes.
 func TestMacroTaskEndsOnWindowBoundary(t *testing.T) {
 	p := hw.TX2()
 	g := models.AlexNet()
-	newCtl := func() *macroCtlT { return &macroCtlT{lo: 4, hi: 4, splitAt: 0, inert: false} }
+	newCtl := func() Controller { return windowedCtlT{&macroCtlT{lo: 4, hi: 4, splitAt: 0}} }
 
 	probe := NewExecutor(p, newCtl())
 	probe.SensorPeriod = 0
@@ -316,16 +340,13 @@ func TestMacroTaskEndsOnWindowBoundary(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("boundary-aligned task differs:\nmicro %+v\nmacro %+v", want, got)
 	}
-	// Pass 1 records ([0, wall) fits); every even pass ends exactly on the
-	// boundary and must have demoted rather than fast-forwarded over the tick.
-	if st := cache.Stats(); st.Demoted == 0 {
-		t.Fatalf("no boundary demotion on exactly-aligned passes: %+v", st)
-	}
+	cacheUntouched(t, cache)
 }
 
 // TestMacroIdleSpansMultipleWindows pins idle-gap handling: a gap crossing
 // several window boundaries must tick identically under macro-stepping (idle
-// itself never fast-forwards; the surrounding passes do).
+// itself never fast-forwards; the surrounding passes do in the inert
+// variant, and the windowed variant micro-steps without touching the cache).
 func TestMacroIdleSpansMultipleWindows(t *testing.T) {
 	p := hw.TX2()
 	tasks := []Task{
@@ -333,11 +354,11 @@ func TestMacroIdleSpansMultipleWindows(t *testing.T) {
 		{Graph: models.AlexNet(), Images: 3},
 	}
 	for _, tc := range []struct {
-		name  string
-		inert bool
-	}{{"inert", true}, {"windowed", false}} {
+		name     string
+		windowed bool
+	}{{"inert", false}, {"windowed", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			micro, macro, _ := newMacroPair(p, tc.inert)
+			micro, macro, cache := newMacroPair(p, tc.windowed)
 			micro.WindowPeriod = 40 * time.Millisecond
 			macro.WindowPeriod = 40 * time.Millisecond
 			gaps := []time.Duration{100 * time.Millisecond} // 2.5 windows
@@ -345,6 +366,9 @@ func TestMacroIdleSpansMultipleWindows(t *testing.T) {
 			got := macro.RunTaskFlowArrivals(tasks, gaps)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("idle-spanning flow differs:\nmicro %+v\nmacro %+v", want, got)
+			}
+			if tc.windowed {
+				cacheUntouched(t, cache)
 			}
 		})
 	}
