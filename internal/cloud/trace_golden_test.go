@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -39,6 +40,13 @@ func (f *flakyCtl) GPULevel() int {
 	return 2 + f.windows%5
 }
 
+// goldenExports are the pinned outputs of one golden run.
+type goldenExports struct {
+	trace  []byte // Chrome trace of the fleet and the guarded board
+	prom   []byte // Prometheus page right after the fleet run
+	result []byte // the fleet's cloud.Result as indented JSON
+}
+
 // goldenTraceRun records a small fixed run that exercises every trace
 // category and argument kind: a faulty three-node fleet on reactive
 // governors (decision instants, actuation spans with attempts/stuck/clamped,
@@ -46,7 +54,10 @@ func (f *flakyCtl) GPULevel() int {
 // dropped job events, node crashes, and steals on the sharded dispatcher),
 // plus a guarded single board on track 1 whose wrapped policy misbehaves
 // for a while (guard decision, violation, fallback and recovery instants).
-func goldenTraceRun(t *testing.T, shards int) []byte {
+// The fleet's Prometheus page (job outcomes, lost energy, nodes lost) and
+// its Result (lost images, failovers, drops, mean turnaround) are taken
+// before the board runs, so they cover the fleet alone.
+func goldenTraceRun(t *testing.T, shards int) goldenExports {
 	t.Helper()
 	p := hw.TX2()
 	jobs := RandomJobs(14, 300*time.Millisecond, 5)
@@ -54,7 +65,7 @@ func goldenTraceRun(t *testing.T, shards int) []byte {
 		jobs[i].Images = 1 + i%3
 	}
 	o := obs.New()
-	_, err := Run(Config{
+	res, err := Run(Config{
 		Nodes:    3,
 		Platform: p,
 		NewCtl:   func() sim.Controller { return governor.NewOndemand() },
@@ -73,6 +84,15 @@ func goldenTraceRun(t *testing.T, shards int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var out goldenExports
+	var prom bytes.Buffer
+	if err := o.Metrics.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	out.prom = prom.Bytes()
+	if out.result, err = json.MarshalIndent(res, "", "  "); err != nil {
+		t.Fatal(err)
+	}
 
 	guard := governor.NewGuard(&flakyCtl{from: 3, until: 9})
 	guard.MaxStrikes, guard.RecoveryWindows = 2, 3
@@ -81,16 +101,17 @@ func goldenTraceRun(t *testing.T, shards int) []byte {
 	e.Obs = o
 	e.RunTask(models.MustBuild("alexnet"), 40)
 
-	var buf bytes.Buffer
-	if err := o.Tracer.WriteTrace(&buf); err != nil {
+	var trace bytes.Buffer
+	if err := o.Tracer.WriteTrace(&trace); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	out.trace = trace.Bytes()
+	return out
 }
 
-// TestTraceGolden pins the Chrome trace export byte for byte on both
-// dispatchers. A diff means the trace surface drifted — update deliberately
-// with `go test -update ./internal/cloud`.
+// TestTraceGolden pins, byte for byte on both dispatchers, the Chrome trace
+// export and the crashy fleet's Prometheus page and Result. A diff means a
+// surface drifted — update deliberately with `go test -update ./internal/cloud`.
 func TestTraceGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -98,28 +119,37 @@ func TestTraceGolden(t *testing.T) {
 	}{{"single", 1}, {"sharded", 2}} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := goldenTraceRun(t, tc.shards)
-			path := filepath.Join("testdata", "trace_"+tc.name+".golden.json")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("read golden: %v (run `go test -update ./internal/cloud` to create it)", err)
-			}
-			if !bytes.Equal(got, want) {
-				i := 0
-				for i < len(got) && i < len(want) && got[i] == want[i] {
-					i++
-				}
-				lo := max(i-120, 0)
-				t.Fatalf("trace differs from %s at byte %d (got %d bytes, want %d):\ngot  …%s\nwant …%s",
-					path, i, len(got), len(want), got[lo:min(i+120, len(got))], want[lo:min(i+120, len(want))])
-			}
+			checkGolden(t, "trace_"+tc.name+".golden.json", got.trace)
+			checkGolden(t, "metrics_"+tc.name+".golden.prom", got.prom)
+			checkGolden(t, "result_"+tc.name+".golden.json", got.result)
 		})
+	}
+}
+
+// checkGolden compares got with testdata/name, rewriting the file first
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden: %v (run `go test -update ./internal/cloud` to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		lo := max(i-120, 0)
+		t.Fatalf("output differs from %s at byte %d (got %d bytes, want %d):\ngot  …%s\nwant …%s",
+			path, i, len(got), len(want), got[lo:min(i+120, len(got))], want[lo:min(i+120, len(want))])
 	}
 }
