@@ -94,8 +94,10 @@ type Config struct {
 	// nodes are partitioned round-robin into shards, jobs are admitted in
 	// arrival-ordered batches, each shard dispatches to its own nodes
 	// concurrently, and a seeded, deterministic steal phase rebalances queues
-	// between rounds. 0 or 1 keeps the single-queue dispatcher bit-for-bit.
-	// Shards above Nodes is clamped to Nodes.
+	// between rounds. 0 or 1 selects the single queue, one FCFS pass over
+	// the whole fleet; both dispatchers place jobs with the same routine.
+	// Shards above Nodes is clamped to Nodes, so one node always runs the
+	// single queue.
 	Shards int
 	// AdmitBatch is the number of jobs admitted per sharded dispatch round
 	// (default 32; ignored by the single-queue dispatcher).
@@ -200,7 +202,7 @@ type svcKey struct {
 }
 
 // svcKeys memoizes graph digests by pointer for one run. Writes happen only in
-// sequential phases (runSingle's dispatch loop; runSharded's fill-phase scan,
+// sequential phases (the single queue's probes; runSharded's fill-phase scan,
 // which keys every batch job before the concurrent phases start), so the
 // concurrent dispatch phase only ever reads the memo.
 type svcKeys struct {
@@ -218,11 +220,16 @@ func (s *svcKeys) key(j Job) svcKey {
 	return svcKey{digest: d, images: j.Images}
 }
 
-// newDryRunExecutor builds the executor for a dispatch-plan service probe: a
-// fresh fault-free controller at the cluster's batch setting, sharing the
-// run's cost grids, and its macro cache when one is configured (probe and
-// node simulations hit the same grids and flow summaries).
-func newDryRunExecutor(cfg Config) *sim.Executor {
+// newExecutor builds an executor at the cluster's batch setting with a fresh
+// controller, pricing its layers from the run's cost grids. Dry-run service
+// probes use it as is (fault-free: dispatch plans with nominal latencies);
+// node simulations add their faults and sinks. With Macro or TraceOff the
+// power-sample trace is off, and with Macro the executor shares the run's
+// summary cache: probes and nodes hit the same grids and flow summaries
+// (single-flight fill across goroutines). An executor with a demoting
+// attachment — a live injector, obs, audit — micro-steps on its own; either
+// way its result is bit-identical to the micro reference.
+func newExecutor(cfg Config) *sim.Executor {
 	e := sim.NewExecutor(cfg.Platform, cfg.NewCtl())
 	e.Batch = cfg.Batch
 	e.Grids = cfg.grids
@@ -249,6 +256,40 @@ type nodeState struct {
 	jobs  int
 }
 
+// fleet is one run's dispatch state: every node's accumulated load, the
+// nodes' crash instants and the run's tally.
+type fleet struct {
+	cfg     Config
+	nodes   []nodeState
+	all     []int // every node index, in order
+	crashAt []time.Duration
+	run     tally
+}
+
+// tally accumulates placement outcomes. The run's tally holds the fleet's
+// obs counters and updates them per event. A shard's tally leaves them zero
+// (a zero obs.Counter is a no-op) and is added to the run's in shard order,
+// so float sums never depend on goroutine timing.
+type tally struct {
+	completed, failovers, dropped, lostImages int
+	lostEnergyJ                               float64
+	turnaround                                time.Duration
+
+	mJobs, mLostEnergy, mNodesLost obs.Counter
+}
+
+// add folds a shard's tally into the run's, counters included.
+func (t *tally) add(s *tally) {
+	t.completed += s.completed
+	t.failovers += s.failovers
+	t.lostEnergyJ += s.lostEnergyJ
+	t.lostImages += s.lostImages
+	t.turnaround += s.turnaround
+	t.mJobs.Add(float64(s.completed), "completed")
+	t.mJobs.Add(float64(s.failovers), "failover")
+	t.mLostEnergy.Add(s.lostEnergyJ)
+}
+
 // Run dispatches jobs (sorted by arrival) to the earliest-available node
 // and simulates every node's task flow. Job service times are measured with
 // a per-job dry run at the node's policy, so dispatch decisions see the
@@ -260,10 +301,10 @@ type nodeState struct {
 // every node is lost, remaining jobs are dropped and counted, never
 // panicking the run.
 //
-// With Config.Shards > 1, dispatch runs on the sharded work-stealing path
-// (dispatch.go) instead; results are deterministic for a fixed config at any
-// shard count, and Shards <= 1 is bit-identical to the single-queue
-// dispatcher.
+// With Config.Shards > 1 (after clamping to Nodes), jobs are admitted in
+// rounds onto shards of the fleet (dispatch.go); otherwise one queue covers
+// every node. Both dispatchers place jobs with the same FCFS routine, and
+// results are deterministic for a fixed config at any shard count.
 //
 // A job with a nil Graph, negative Images or a negative Arrival is rejected
 // with an error naming the job's index before anything is simulated; a job
@@ -301,67 +342,67 @@ func Run(cfg Config, jobs []Job) (Result, error) {
 	if cfg.grids == nil {
 		cfg.grids = sim.NewCostGrids(cfg.Platform)
 	}
-	if shards := cfg.Shards; shards > 1 {
-		if shards > cfg.Nodes {
-			shards = cfg.Nodes
-		}
-		if shards > 1 {
-			return runSharded(cfg, shards, jobs)
-		}
-	}
-	return runSingle(cfg, jobs)
-}
 
-// runSingle is the single-queue FCFS dispatcher (the pre-sharding code path,
-// kept verbatim so Shards <= 1 stays bit-identical).
-func runSingle(cfg Config, jobs []Job) (Result, error) {
 	queue := make([]queuedJob, len(jobs))
 	for i, j := range jobs {
 		queue[i] = queuedJob{Job: j, orig: j.Arrival}
 	}
-	sort.SliceStable(queue, func(i, j int) bool { return queue[i].Arrival < queue[j].Arrival })
-
-	// Per-model service cache (dry run on a fresh, fault-free controller:
-	// dispatch plans with nominal latencies; faults hit the real run).
-	serviceCache := map[svcKey]sim.Result{}
-	keys := newSvcKeys()
-	service := func(j Job) sim.Result {
-		key := keys.key(j)
-		if r, ok := serviceCache[key]; ok {
-			return r
-		}
-		e := newDryRunExecutor(cfg)
-		r := e.RunTask(j.Graph, j.Images)
-		serviceCache[key] = r
-		return r
+	sortByArrival(queue)
+	f := &fleet{
+		cfg:     cfg,
+		nodes:   make([]nodeState, cfg.Nodes),
+		all:     make([]int, cfg.Nodes),
+		crashAt: cfg.Faults.CrashTimes(cfg.Nodes),
 	}
-
-	crashAt := cfg.Faults.CrashTimes(cfg.Nodes)
-
-	var mJobs, mNodesLost, mLostEnergy obs.Counter
+	for n := range f.all {
+		f.all[n] = n
+	}
 	if cfg.Obs != nil {
 		m := cfg.Obs.Metrics
-		mJobs = m.Counter("cloud_jobs_total",
+		f.run.mJobs = m.Counter("cloud_jobs_total",
 			"Dispatched jobs by outcome (completed, failover, dropped).", "outcome")
-		mNodesLost = m.Counter("cloud_nodes_lost_total",
+		f.run.mNodesLost = m.Counter("cloud_nodes_lost_total",
 			"Nodes whose scheduled crash fell inside the trace.")
-		mLostEnergy = m.Counter("cloud_lost_energy_joules_total",
+		f.run.mLostEnergy = m.Counter("cloud_lost_energy_joules_total",
 			"Energy burned on work destroyed by node crashes.")
 	}
 
-	nodes := make([]nodeState, cfg.Nodes)
-	res := Result{}
-	var turnaround time.Duration
-	completed := 0
+	if shards := min(cfg.Shards, cfg.Nodes); shards > 1 {
+		f.runSharded(shards, queue)
+	} else {
+		// The single queue probes each service key on first use.
+		cache := map[svcKey]sim.Result{}
+		keys := newSvcKeys()
+		probe := func(j Job) sim.Result {
+			k := keys.key(j)
+			r, ok := cache[k]
+			if !ok {
+				r = newExecutor(cfg).RunTask(j.Graph, j.Images)
+				cache[k] = r
+			}
+			return r
+		}
+		f.drop(f.place(queue, f.all, probe, &f.run))
+	}
+	return f.finish(), nil
+}
 
+// place is the only placement loop, shared by the single queue, the shards
+// and the orphan phase. It drains queue FCFS onto the earliest-available
+// surviving node of set; a node whose crash precedes a job's possible start
+// can never take it. A node that dies mid-job destroys the job's partial
+// work: the energy already burned is pro-rated from the dry run (svc) and
+// added to t, and the job re-enters the queue at the crash instant. It
+// returns the jobs no node of set can ever take. Everything place writes is
+// private to set's nodes, their trace tracks jobTrackBase+n, and t.
+func (f *fleet) place(queue []queuedJob, set []int, svc func(Job) sim.Result, t *tally) (unplaced []queuedJob) {
+	o, nodes, crashAt := f.cfg.Obs, f.nodes, f.crashAt
 	for len(queue) > 0 {
 		j := queue[0]
 		queue = queue[1:]
 
-		// Earliest-available surviving node (FCFS dispatch). A node whose
-		// crash precedes the job's possible start can never take it.
 		best, bestStart := -1, time.Duration(0)
-		for n := 0; n < cfg.Nodes; n++ {
+		for _, n := range set {
 			s := maxDur(j.Arrival, nodes[n].free)
 			if s >= crashAt[n] {
 				continue
@@ -371,34 +412,24 @@ func runSingle(cfg Config, jobs []Job) (Result, error) {
 			}
 		}
 		if best < 0 {
-			// No node can ever take this job: the degraded cluster drops it.
-			res.DroppedJobs++
-			if cfg.Obs != nil {
-				mJobs.Inc("dropped")
-				cfg.Obs.Tracer.Instant("job", "dropped", 0, j.Arrival,
-					obs.Int("images", j.Images), obs.Str("model", j.Graph.Name))
-			}
+			unplaced = append(unplaced, j)
 			continue
 		}
 		ns := &nodes[best]
-		dry := service(j.Job)
+		dry := svc(j.Job)
 		end := bestStart + dry.Time
 		if end > crashAt[best] {
-			// The node dies mid-job: its partial work is destroyed. Energy
-			// already burned on it is attributed to the run (pro-rated from
-			// the dry run) and the job fails over to a surviving node,
-			// re-entering the queue at the crash instant.
 			ran := crashAt[best] - bestStart
 			frac := ran.Seconds() / dry.Time.Seconds()
-			res.LostEnergyJ += dry.EnergyJ * frac
-			res.LostImages += int(float64(j.Images)*frac + 0.5)
-			res.Failovers++
-			if cfg.Obs != nil {
-				mJobs.Inc("failover")
-				mLostEnergy.Add(dry.EnergyJ * frac)
-				cfg.Obs.Tracer.Complete("job", j.Graph.Name+" (lost)", jobTrackBase+best,
+			t.lostEnergyJ += dry.EnergyJ * frac
+			t.lostImages += int(float64(j.Images)*frac + 0.5)
+			t.failovers++
+			t.mJobs.Inc("failover")
+			t.mLostEnergy.Add(dry.EnergyJ * frac)
+			if o != nil {
+				o.Tracer.Complete("job", j.Graph.Name+" (lost)", jobTrackBase+best,
 					bestStart, ran, obs.Bool("aborted", true), obs.Int("node", best))
-				cfg.Obs.Tracer.Instant("job", "failover", jobTrackBase+best, crashAt[best],
+				o.Tracer.Instant("job", "failover", jobTrackBase+best, crashAt[best],
 					obs.Str("model", j.Graph.Name), obs.Int("node", best))
 			}
 			ns.free = crashAt[best]
@@ -412,22 +443,34 @@ func runSingle(cfg Config, jobs []Job) (Result, error) {
 		ns.tasks = append(ns.tasks, sim.Task{Graph: j.Graph, Images: j.Images})
 		ns.free = end
 		ns.jobs++
-		completed++
-		turnaround += end - j.orig
-		if cfg.Obs != nil {
-			mJobs.Inc("completed")
-			cfg.Obs.Tracer.Complete("job", j.Graph.Name, jobTrackBase+best, bestStart, dry.Time,
+		t.completed++
+		t.turnaround += end - j.orig
+		t.mJobs.Inc("completed")
+		if o != nil {
+			o.Tracer.Complete("job", j.Graph.Name, jobTrackBase+best, bestStart, dry.Time,
 				obs.Int("images", j.Images), obs.Int("node", best),
 				obs.Float("queued_ms", float64((bestStart-j.orig).Milliseconds())))
 		}
 	}
-
-	return finishRun(cfg, nodes, crashAt, res, turnaround, completed, mNodesLost)
+	return unplaced
 }
 
-// finishRun simulates every loaded node and aggregates the cluster result;
-// both dispatchers end here with identical float summation order.
-func finishRun(cfg Config, nodes []nodeState, crashAt []time.Duration, res Result, turnaround time.Duration, completed int, mNodesLost obs.Counter) (Result, error) {
+// drop counts the jobs place returned from the whole fleet: no node can ever
+// take them, so the degraded cluster loses them.
+func (f *fleet) drop(jobs []queuedJob) {
+	for _, j := range jobs {
+		f.run.dropped++
+		f.run.mJobs.Inc("dropped")
+		if f.cfg.Obs != nil {
+			f.cfg.Obs.Tracer.Instant("job", "dropped", 0, j.Arrival,
+				obs.Int("images", j.Images), obs.Str("model", j.Graph.Name))
+		}
+	}
+}
+
+// finish simulates every loaded node and aggregates the cluster result.
+func (f *fleet) finish() Result {
+	cfg, nodes, crashAt := f.cfg, f.nodes, f.crashAt
 	// Simulate every loaded node concurrently — nodes are independent
 	// boards, and per-node fault streams are seeded per node index, so the
 	// outcome is deterministic regardless of goroutine scheduling. Each node
@@ -447,18 +490,7 @@ func finishRun(cfg Config, nodes []nodeState, crashAt []time.Duration, res Resul
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			e := sim.NewExecutor(cfg.Platform, cfg.NewCtl())
-			e.Batch = cfg.Batch
-			e.Grids = cfg.grids
-			if cfg.Macro != nil || cfg.TraceOff {
-				// Macro nodes share the run's summary cache (single-flight
-				// fill across node goroutines). Executors with demoting
-				// attachments below — a live injector, obs, audit — fall back
-				// to micro-stepping on their own; either way the node result
-				// is bit-identical to the micro reference.
-				e.SensorPeriod = 0
-				e.Summaries = cfg.Macro
-			}
+			e := newExecutor(cfg)
 			e.Faults = hw.NewInjector(cfg.Faults.ForNode(n))
 			if no := cfg.Obs.ForTrack(nodeTrackBase + n); no != nil {
 				no.Metrics = obs.NewRegistry()
@@ -501,6 +533,13 @@ func finishRun(cfg Config, nodes []nodeState, crashAt []time.Duration, res Resul
 		}
 	}
 
+	t := &f.run
+	res := Result{
+		Failovers:   t.failovers,
+		DroppedJobs: t.dropped,
+		LostEnergyJ: t.lostEnergyJ,
+		LostImages:  t.lostImages,
+	}
 	for n, nr := range nodeResults {
 		if nr == nil {
 			continue
@@ -525,17 +564,22 @@ func finishRun(cfg Config, nodes []nodeState, crashAt []time.Duration, res Resul
 		if crashAt[n] != hw.NeverCrash && crashAt[n] <= res.Makespan {
 			res.NodesLost++
 			if cfg.Obs != nil {
-				mNodesLost.Inc()
+				t.mNodesLost.Inc()
 				cfg.Obs.Tracer.Instant("node", "crash", jobTrackBase+n, crashAt[n],
 					obs.Int("node", n))
 			}
 		}
 	}
 	res.TotalEnergyJ += res.LostEnergyJ
-	if completed > 0 {
-		res.MeanTurnaround = turnaround / time.Duration(completed)
+	if t.completed > 0 {
+		res.MeanTurnaround = t.turnaround / time.Duration(t.completed)
 	}
-	return res, nil
+	return res
+}
+
+// sortByArrival orders a queue by arrival, FCFS among ties.
+func sortByArrival(q []queuedJob) {
+	sort.SliceStable(q, func(i, j int) bool { return q[i].Arrival < q[j].Arrival })
 }
 
 // requeue inserts a failed-over job back into the arrival-ordered queue,

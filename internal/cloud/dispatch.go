@@ -1,7 +1,7 @@
-// The sharded work-stealing dispatcher: the single-queue FCFS loop in
-// cluster.go walks every node per job, which serializes dispatch for large
-// fleets. Here the nodes are partitioned round-robin into shards, jobs are
-// admitted in arrival-ordered batches, and each round runs four phases:
+// The sharded work-stealing dispatcher: the single queue in cluster.go walks
+// every node per job, which serializes dispatch for large fleets. Here the
+// nodes are partitioned round-robin into shards, jobs are admitted in
+// arrival-ordered batches, and each round runs four phases:
 //
 //  1. fill — service times for the batch's uncached model/images keys are
 //     dry-run in parallel, then written to the shared cache in admission
@@ -10,11 +10,10 @@
 //  2. steal — a sequential, seeded rebalance: the least-loaded shard steals
 //     the tail job from the first profitable victim in its seeded victim
 //     order, repeating until no steal is profitable (or a bound is hit);
-//  3. dispatch — shards place their queues onto their own nodes
-//     concurrently (earliest-available FCFS within the shard, with the same
-//     mid-job crash failover as the single-queue path);
-//  4. orphans — jobs no surviving node of their shard could take are
-//     reassigned sequentially across the whole fleet, or dropped.
+//  3. dispatch — each shard runs place (cluster.go), the placement loop the
+//     single queue uses, over its own nodes, concurrently with the others;
+//  4. orphans — jobs no surviving node of their shard could take go through
+//     place again, sequentially, over the whole fleet, or are dropped.
 //
 // Determinism at any shard count: every cross-shard decision (admission,
 // home assignment, stealing, orphan reassignment, counter flushes) happens
@@ -27,7 +26,6 @@ package cloud
 
 import (
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -45,21 +43,16 @@ const shardTrackBase = 1000
 const defaultAdmitBatch = 32
 
 // shardState is one dispatcher shard: its owned nodes, its current-round
-// queue, and run-total accumulators flushed to shared obs counters in shard
-// order (float adds in goroutine order would be nondeterministic).
+// queue, and a tally added to the run's in shard order (float adds in
+// goroutine order would be nondeterministic).
 type shardState struct {
 	id      int
 	nodes   []int       // owned node indices
 	victims []int       // seeded steal order over the other shards
 	queue   []queuedJob // current round, sorted by arrival
-
-	completed   int
-	failovers   int
-	steals      int
-	lostEnergyJ float64
-	lostImages  int
-	turnaround  time.Duration
-	orphans     []queuedJob // this round's infeasible jobs
+	orphans []queuedJob // this round's jobs no owned node could take
+	steals  int
+	tally
 }
 
 // survivors counts the shard's nodes that are still alive given their
@@ -101,13 +94,8 @@ const inf = 1e308
 
 // runSharded is the Shards > 1 dispatch path; see the package comment above
 // for the phase structure and the determinism argument.
-func runSharded(cfg Config, numShards int, jobs []Job) (Result, error) {
-	pending := make([]queuedJob, len(jobs))
-	for i, j := range jobs {
-		pending[i] = queuedJob{Job: j, orig: j.Arrival}
-	}
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].Arrival < pending[j].Arrival })
-
+func (f *fleet) runSharded(numShards int, pending []queuedJob) {
+	cfg, nodes, crashAt := f.cfg, f.nodes, f.crashAt
 	admit := cfg.AdmitBatch
 	if admit <= 0 {
 		admit = defaultAdmitBatch
@@ -127,12 +115,10 @@ func runSharded(cfg Config, numShards int, jobs []Job) (Result, error) {
 			}
 		}
 	}
-	nodes := make([]nodeState, cfg.Nodes)
-	for n := 0; n < cfg.Nodes; n++ {
+	for n := range nodes {
 		sh := shards[n%numShards]
 		sh.nodes = append(sh.nodes, n)
 	}
-	crashAt := cfg.Faults.CrashTimes(cfg.Nodes)
 
 	// Shared service cache. Written only during the sequential part of the
 	// fill phase (which also memoizes every batch job's graph digest); the
@@ -142,31 +128,18 @@ func runSharded(cfg Config, numShards int, jobs []Job) (Result, error) {
 	keys := newSvcKeys()
 	svc := func(j Job) sim.Result { return serviceCache[keys.key(j)] }
 
-	var mJobs, mNodesLost, mLostEnergy, mShardJobs, mSteals obs.Counter
+	var mShardJobs, mSteals obs.Counter
 	if cfg.Obs != nil {
 		m := cfg.Obs.Metrics
-		mJobs = m.Counter("cloud_jobs_total",
-			"Dispatched jobs by outcome (completed, failover, dropped).", "outcome")
-		mNodesLost = m.Counter("cloud_nodes_lost_total",
-			"Nodes whose scheduled crash fell inside the trace.")
-		mLostEnergy = m.Counter("cloud_lost_energy_joules_total",
-			"Energy burned on work destroyed by node crashes.")
 		mShardJobs = m.Counter("cloud_shard_jobs_total",
 			"Jobs completed per dispatcher shard.", "shard")
 		mSteals = m.Counter("cloud_steals_total",
 			"Jobs moved between shard queues by work stealing.", "shard")
 	}
 
-	res := Result{}
-	var turnaround time.Duration
-	completed := 0
 	admitted := 0
-
 	for len(pending) > 0 {
-		n := admit
-		if n > len(pending) {
-			n = len(pending)
-		}
+		n := min(admit, len(pending))
 		batch := pending[:n]
 		pending = pending[n:]
 
@@ -183,13 +156,15 @@ func runSharded(cfg Config, numShards int, jobs []Job) (Result, error) {
 		stealPhase(cfg, shards, nodes, crashAt, svc, n)
 
 		// Concurrent per-shard dispatch: disjoint nodes, disjoint trace
-		// tracks, per-shard accumulators — nothing shared is written.
+		// tracks, per-shard tallies — nothing shared is written. A shard's
+		// queue storage is reused in the next round.
 		var wg sync.WaitGroup
 		for _, sh := range shards {
 			wg.Add(1)
 			go func(sh *shardState) {
 				defer wg.Done()
-				dispatchShard(cfg, sh, nodes, crashAt, svc)
+				sh.orphans = f.place(sh.queue, sh.nodes, svc, &sh.tally)
+				sh.queue = sh.queue[:0]
 			}(sh)
 		}
 		wg.Wait()
@@ -199,31 +174,19 @@ func runSharded(cfg Config, numShards int, jobs []Job) (Result, error) {
 		var orphans []queuedJob
 		for _, sh := range shards {
 			orphans = append(orphans, sh.orphans...)
-			sh.orphans = sh.orphans[:0]
 		}
-		sort.SliceStable(orphans, func(i, j int) bool { return orphans[i].Arrival < orphans[j].Arrival })
-		placeOrphans(cfg, &res, nodes, crashAt, orphans, svc, &turnaround, &completed, mJobs, mLostEnergy)
+		sortByArrival(orphans)
+		f.drop(f.place(orphans, f.all, svc, &f.run))
 	}
 
-	// Flush per-shard accumulators in shard order so counter values (the
-	// float ones especially) never depend on dispatch goroutine timing.
+	// Add the shard tallies in shard order so counter values (the float ones
+	// especially) never depend on dispatch goroutine timing.
 	for _, sh := range shards {
-		res.Failovers += sh.failovers
-		res.LostEnergyJ += sh.lostEnergyJ
-		res.LostImages += sh.lostImages
-		turnaround += sh.turnaround
-		completed += sh.completed
-		if cfg.Obs != nil {
-			label := strconv.Itoa(sh.id)
-			mShardJobs.Add(float64(sh.completed), label)
-			mSteals.Add(float64(sh.steals), label)
-			mJobs.Add(float64(sh.completed), "completed")
-			mJobs.Add(float64(sh.failovers), "failover")
-			mLostEnergy.Add(sh.lostEnergyJ)
-		}
+		label := strconv.Itoa(sh.id)
+		mShardJobs.Add(float64(sh.completed), label)
+		mSteals.Add(float64(sh.steals), label)
+		f.run.add(&sh.tally)
 	}
-
-	return finishRun(cfg, nodes, crashAt, res, turnaround, completed, mNodesLost)
 }
 
 // fillServiceCache dry-runs the batch's uncached model/images keys in
@@ -246,8 +209,7 @@ func fillServiceCache(cfg Config, cache map[svcKey]sim.Result, keys *svcKeys, ba
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e := newDryRunExecutor(cfg)
-			results[i] = e.RunTask(missing[i].Graph, missing[i].Images)
+			results[i] = newExecutor(cfg).RunTask(missing[i].Graph, missing[i].Images)
 		}(i)
 	}
 	wg.Wait()
@@ -310,135 +272,6 @@ func stealPhase(cfg Config, shards []*shardState, nodes []nodeState, crashAt []t
 		}
 		if !stole {
 			return
-		}
-	}
-}
-
-// dispatchShard drains one shard's round queue onto its own nodes with the
-// single-queue dispatcher's FCFS rule, including mid-job crash failover
-// (requeued within the shard at the crash instant). Jobs no surviving owned
-// node can take become orphans for the sequential reassignment phase. Runs
-// concurrently with the other shards; everything it writes — its nodes, its
-// accumulators, trace tracks jobTrackBase+{owned nodes} and
-// shardTrackBase+id — is shard-private.
-func dispatchShard(cfg Config, sh *shardState, nodes []nodeState, crashAt []time.Duration, svc func(Job) sim.Result) {
-	for len(sh.queue) > 0 {
-		j := sh.queue[0]
-		sh.queue = sh.queue[1:]
-
-		best, bestStart := -1, time.Duration(0)
-		for _, n := range sh.nodes {
-			s := maxDur(j.Arrival, nodes[n].free)
-			if s >= crashAt[n] {
-				continue
-			}
-			if best < 0 || s < bestStart {
-				best, bestStart = n, s
-			}
-		}
-		if best < 0 {
-			sh.orphans = append(sh.orphans, j)
-			continue
-		}
-		ns := &nodes[best]
-		dry := svc(j.Job)
-		end := bestStart + dry.Time
-		if end > crashAt[best] {
-			ran := crashAt[best] - bestStart
-			frac := ran.Seconds() / dry.Time.Seconds()
-			sh.lostEnergyJ += dry.EnergyJ * frac
-			sh.lostImages += int(float64(j.Images)*frac + 0.5)
-			sh.failovers++
-			if cfg.Obs != nil {
-				cfg.Obs.Tracer.Complete("job", j.Graph.Name+" (lost)", jobTrackBase+best,
-					bestStart, ran, obs.Bool("aborted", true), obs.Int("node", best))
-				cfg.Obs.Tracer.Instant("job", "failover", jobTrackBase+best, crashAt[best],
-					obs.Str("model", j.Graph.Name), obs.Int("node", best))
-			}
-			ns.free = crashAt[best]
-			j.Arrival = crashAt[best]
-			requeue(&sh.queue, j)
-			continue
-		}
-		if len(ns.tasks) > 0 {
-			ns.gaps = append(ns.gaps, bestStart-ns.free)
-		}
-		ns.tasks = append(ns.tasks, sim.Task{Graph: j.Graph, Images: j.Images})
-		ns.free = end
-		ns.jobs++
-		sh.completed++
-		sh.turnaround += end - j.orig
-		if cfg.Obs != nil {
-			cfg.Obs.Tracer.Complete("job", j.Graph.Name, jobTrackBase+best, bestStart, dry.Time,
-				obs.Int("images", j.Images), obs.Int("node", best),
-				obs.Float("queued_ms", float64((bestStart-j.orig).Milliseconds())))
-		}
-	}
-}
-
-// placeOrphans reassigns jobs whose home shard could not take them across
-// the whole fleet (earliest-available surviving node, crash failover,
-// dropped when nobody can ever run them). Sequential — free to touch shared
-// accounting and obs directly.
-func placeOrphans(cfg Config, res *Result, nodes []nodeState, crashAt []time.Duration, orphans []queuedJob, svc func(Job) sim.Result, turnaround *time.Duration, completed *int, mJobs, mLostEnergy obs.Counter) {
-	for len(orphans) > 0 {
-		j := orphans[0]
-		orphans = orphans[1:]
-
-		best, bestStart := -1, time.Duration(0)
-		for n := range nodes {
-			s := maxDur(j.Arrival, nodes[n].free)
-			if s >= crashAt[n] {
-				continue
-			}
-			if best < 0 || s < bestStart {
-				best, bestStart = n, s
-			}
-		}
-		if best < 0 {
-			res.DroppedJobs++
-			if cfg.Obs != nil {
-				mJobs.Inc("dropped")
-				cfg.Obs.Tracer.Instant("job", "dropped", 0, j.Arrival,
-					obs.Int("images", j.Images), obs.Str("model", j.Graph.Name))
-			}
-			continue
-		}
-		ns := &nodes[best]
-		dry := svc(j.Job)
-		end := bestStart + dry.Time
-		if end > crashAt[best] {
-			ran := crashAt[best] - bestStart
-			frac := ran.Seconds() / dry.Time.Seconds()
-			res.LostEnergyJ += dry.EnergyJ * frac
-			res.LostImages += int(float64(j.Images)*frac + 0.5)
-			res.Failovers++
-			if cfg.Obs != nil {
-				mJobs.Inc("failover")
-				mLostEnergy.Add(dry.EnergyJ * frac)
-				cfg.Obs.Tracer.Complete("job", j.Graph.Name+" (lost)", jobTrackBase+best,
-					bestStart, ran, obs.Bool("aborted", true), obs.Int("node", best))
-				cfg.Obs.Tracer.Instant("job", "failover", jobTrackBase+best, crashAt[best],
-					obs.Str("model", j.Graph.Name), obs.Int("node", best))
-			}
-			ns.free = crashAt[best]
-			j.Arrival = crashAt[best]
-			requeue(&orphans, j)
-			continue
-		}
-		if len(ns.tasks) > 0 {
-			ns.gaps = append(ns.gaps, bestStart-ns.free)
-		}
-		ns.tasks = append(ns.tasks, sim.Task{Graph: j.Graph, Images: j.Images})
-		ns.free = end
-		ns.jobs++
-		*completed++
-		*turnaround += end - j.orig
-		if cfg.Obs != nil {
-			mJobs.Inc("completed")
-			cfg.Obs.Tracer.Complete("job", j.Graph.Name, jobTrackBase+best, bestStart, dry.Time,
-				obs.Int("images", j.Images), obs.Int("node", best),
-				obs.Float("queued_ms", float64((bestStart-j.orig).Milliseconds())))
 		}
 	}
 }

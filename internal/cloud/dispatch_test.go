@@ -20,10 +20,11 @@ func runCfg(t *testing.T, cfg Config, jobs []Job) Result {
 	return res
 }
 
-// TestShardedOneShardMatchesLegacy pins the compatibility contract: Shards=1
-// (and any shard count that clamps down to 1) must reproduce the single-queue
-// dispatcher byte for byte, fault-free and degraded alike.
-func TestShardedOneShardMatchesLegacy(t *testing.T) {
+// TestShardedCountOfOneMatchesZero pins how Run reads a shard count of one:
+// Shards 1, and Shards 8 clamped to a single node, both select the single
+// queue, so each gives the same Result as Shards 0, fault-free and degraded
+// alike. The sharded dispatcher itself only runs at two or more shards.
+func TestShardedCountOfOneMatchesZero(t *testing.T) {
 	p := hw.TX2()
 	jobs := testJobs(20)
 	cases := []struct {
@@ -34,17 +35,16 @@ func TestShardedOneShardMatchesLegacy(t *testing.T) {
 		{"crashy", crashyFaults(5)},
 	}
 	for _, tc := range cases {
-		legacy := runCfg(t, Config{Nodes: 4, Platform: p, NewCtl: staticFactory(7), Faults: tc.faults}, jobs)
+		zero := runCfg(t, Config{Nodes: 4, Platform: p, NewCtl: staticFactory(7), Faults: tc.faults}, jobs)
 		one := runCfg(t, Config{Nodes: 4, Platform: p, NewCtl: staticFactory(7), Faults: tc.faults, Shards: 1}, jobs)
-		if !reflect.DeepEqual(legacy, one) {
-			t.Fatalf("%s: Shards=1 diverges from legacy dispatcher:\nlegacy  %+v\nsharded %+v", tc.name, legacy, one)
+		if !reflect.DeepEqual(zero, one) {
+			t.Fatalf("%s: Shards=1 diverges from Shards=0:\nShards=0 %+v\nShards=1 %+v", tc.name, zero, one)
 		}
-		// Shards above Nodes clamps; on a single node that lands back on the
-		// legacy path.
-		soloLegacy := runCfg(t, Config{Nodes: 1, Platform: p, NewCtl: staticFactory(7), Faults: tc.faults}, jobs)
+		// Shards above Nodes clamps to Nodes, and one node runs one queue.
+		soloZero := runCfg(t, Config{Nodes: 1, Platform: p, NewCtl: staticFactory(7), Faults: tc.faults}, jobs)
 		soloClamped := runCfg(t, Config{Nodes: 1, Platform: p, NewCtl: staticFactory(7), Faults: tc.faults, Shards: 8}, jobs)
-		if !reflect.DeepEqual(soloLegacy, soloClamped) {
-			t.Fatalf("%s: clamped Shards=8/Nodes=1 diverges from legacy", tc.name)
+		if !reflect.DeepEqual(soloZero, soloClamped) {
+			t.Fatalf("%s: Shards=8 clamped to Nodes=1 diverges from Shards=0", tc.name)
 		}
 	}
 }
